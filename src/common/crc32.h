@@ -1,9 +1,8 @@
 // CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over a byte string.
 //
-// Used by the v3 session journal to frame records: each record line
-// carries the CRC of its payload, so a torn write (truncated tail) or a
-// bit flip is detected at load time and `recover` mode can truncate to
-// the longest valid prefix instead of replaying corrupt state.
+// The checksum of the framed-line codec (common/framed_line.h), which
+// guards every session journal, spec file, event journal and wire
+// message frame: a torn write or a bit flip is detected at read time.
 #pragma once
 
 #include <array>

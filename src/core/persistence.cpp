@@ -7,40 +7,30 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 
 #include "common/chaos.h"
-#include "common/crc32.h"
 #include "common/error.h"
+#include "common/framed_line.h"
 
 namespace robotune::core {
 
 namespace {
 constexpr const char* kHeader = "robotune-state v1";
-constexpr const char* kSessionHeaderV3 = "robotune-session v3";
-constexpr const char* kSessionHeaderV2 = "robotune-session v2";
-constexpr const char* kSessionHeaderV1 = "robotune-session v1";
+constexpr std::string_view kSessionHeader = "robotune-session v3";
 
-// Whitespace tokenizer with file:line error context.  Every numeric
+// Whitespace tokenizer over one record payload.  Every numeric
 // conversion goes through std::from_chars with a full-token-consumption
-// check, so a malformed field surfaces as InvalidArgument("<source>:<N>:
-// ...") instead of an uncaught std::invalid_argument or a silently
-// truncated value.
+// check, so a malformed field surfaces as InvalidArgument instead of an
+// uncaught std::invalid_argument or a silently truncated value.
 class RecordParser {
  public:
-  RecordParser(std::string_view payload, const std::string& source,
-               std::size_t line)
-      : payload_(payload), source_(source), line_(line) {}
+  explicit RecordParser(std::string_view payload) : payload_(payload) {}
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw InvalidArgument("load_session: " + source_ + ":" +
-                          std::to_string(line_) + ": " + what);
-  }
-
-  bool at_end() {
-    skip_spaces();
-    return pos_ >= payload_.size();
+    throw InvalidArgument(what);
   }
 
   std::string_view token(const char* field) {
@@ -57,48 +47,32 @@ class RecordParser {
   }
 
   std::uint64_t u64(const char* field) {
-    const std::string_view t = token(field);
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc() || ptr != t.data() + t.size()) {
-      fail(std::string("malformed ") + field + " field: '" + std::string(t) +
-           "'");
-    }
-    return value;
+    return number<std::uint64_t>(field);
   }
-
-  int i(const char* field) {
-    const std::string_view t = token(field);
-    int value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc() || ptr != t.data() + t.size()) {
-      fail(std::string("malformed ") + field + " field: '" + std::string(t) +
-           "'");
-    }
-    return value;
-  }
-
-  double d(const char* field) {
-    const std::string_view t = token(field);
-    double value = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc() || ptr != t.data() + t.size()) {
-      fail(std::string("malformed ") + field + " field: '" + std::string(t) +
-           "'");
-    }
-    return value;
-  }
+  int i(const char* field) { return number<int>(field); }
+  double d(const char* field) { return number<double>(field); }
 
   void done(const char* record) {
-    if (!at_end()) {
+    skip_spaces();
+    if (pos_ < payload_.size()) {
       fail(std::string("trailing data in ") + record + " record");
     }
   }
 
  private:
+  template <typename T>
+  T number(const char* field) {
+    const std::string_view t = token(field);
+    T value{};
+    const auto [ptr, ec] =
+        std::from_chars(t.data(), t.data() + t.size(), value);
+    if (ec != std::errc() || ptr != t.data() + t.size()) {
+      fail(std::string("malformed ") + field + " field: '" + std::string(t) +
+           "'");
+    }
+    return value;
+  }
+
   void skip_spaces() {
     while (pos_ < payload_.size() &&
            (payload_[pos_] == ' ' || payload_[pos_] == '\t')) {
@@ -107,41 +81,44 @@ class RecordParser {
   }
 
   std::string_view payload_;
-  const std::string& source_;
-  std::size_t line_;
   std::size_t pos_ = 0;
 };
 
-// Parses one session record payload (shared by all journal versions;
-// `v1` assigns eval indices by file position).
-void parse_session_record(RecordParser& p, bool v1,
-                          SessionCheckpoint& session) {
+// Parses one session record payload into `session`.  Every field is
+// parsed before anything is stored, so a record that throws leaves
+// `session` untouched (recover mode keeps the prefix before it as is).
+void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
   const std::string_view kind = p.token("record kind");
   if (kind == "meta") {
-    session.seed = p.u64("seed");
-    session.budget = p.i("budget");
-    session.workload = std::string(p.token("workload"));
+    const std::uint64_t seed = p.u64("seed");
+    const int budget = p.i("budget");
+    const std::string_view workload = p.token("workload");
     p.done("meta");
+    session.seed = seed;
+    session.budget = budget;
+    session.workload = std::string(workload);
   } else if (kind == "seeding") {
     const std::string_view mode = p.token("seeding mode");
     if (mode != "sequential" && mode != "indexed") {
       p.fail("malformed seeding mode: '" + std::string(mode) + "'");
     }
-    session.indexed_seeding = mode == "indexed";
     p.done("seeding");
+    session.indexed_seeding = mode == "indexed";
   } else if (kind == "selected") {
-    const std::uint64_t count = p.u64("selected count");
-    session.selected.resize(count);
-    for (auto& idx : session.selected) {
+    std::vector<std::size_t> selected(p.u64("selected count"));
+    for (auto& idx : selected) {
       idx = static_cast<std::size_t>(p.u64("selected index"));
     }
     p.done("selected");
+    session.selected = std::move(selected);
   } else if (kind == "selection-draws") {
-    session.selection_seed_draws = p.u64("selection-draws");
+    const std::uint64_t draws = p.u64("selection-draws");
     p.done("selection-draws");
+    session.selection_seed_draws = draws;
   } else if (kind == "selection-cost") {
-    session.selection_cost_s = p.d("selection-cost");
+    const double cost = p.d("selection-cost");
     p.done("selection-cost");
+    session.selection_cost_s = cost;
   } else if (kind == "memo") {
     MemoizedConfig config;
     config.value_s = p.d("memo value");
@@ -152,12 +129,7 @@ void parse_session_record(RecordParser& p, bool v1,
     session.memoized.push_back(std::move(config));
   } else if (kind == "eval") {
     EvalRecord e;
-    if (v1) {
-      // v1 journals are sequential by construction: index = position.
-      e.index = session.evaluations.size();
-    } else {
-      e.index = p.u64("eval index");
-    }
+    e.index = p.u64("eval index");
     const std::string_view status_label = p.token("eval status");
     const auto status =
         sparksim::run_status_from_string(std::string(status_label));
@@ -182,8 +154,9 @@ void parse_session_record(RecordParser& p, bool v1,
     p.done("degrade");
     session.degrade_events.push_back(std::move(event));
   } else if (kind == "racing") {
-    session.racing_mode = std::string(p.token("racing signature"));
+    const std::string_view signature = p.token("racing signature");
     p.done("racing");
+    session.racing_mode = std::string(signature);
   } else if (kind == "kill") {
     KillEvent event;
     event.index = p.u64("kill index");
@@ -201,8 +174,8 @@ void parse_session_record(RecordParser& p, bool v1,
     if (mode != "external") {
       p.fail("malformed session mode: '" + std::string(mode) + "'");
     }
-    session.external = true;
     p.done("mode");
+    session.external = true;
   } else if (kind == "suggest") {
     SuggestRecord s;
     s.index = p.u64("suggest index");
@@ -235,46 +208,6 @@ void parse_session_record(RecordParser& p, bool v1,
   } else {
     p.fail("unknown record kind: '" + std::string(kind) + "'");
   }
-}
-
-// Splits a v3 frame line into its payload.  Returns false (with `why`
-// set) on any framing violation: short line, bad hex, bad length, length
-// mismatch (torn write), or CRC mismatch (bit flip).
-bool unframe(const std::string& line, std::string_view& payload,
-             std::string& why) {
-  // "<crc:8 hex> <len> <payload>": at minimum 8 + 1 + 1 + 1 + 1 bytes.
-  if (line.size() < 12 || line[8] != ' ') {
-    why = "bad record frame";
-    return false;
-  }
-  std::uint32_t crc = 0;
-  {
-    const auto [ptr, ec] = std::from_chars(line.data(), line.data() + 8, crc,
-                                           /*base=*/16);
-    if (ec != std::errc() || ptr != line.data() + 8) {
-      why = "bad frame checksum field";
-      return false;
-    }
-  }
-  std::size_t len = 0;
-  const char* const len_begin = line.data() + 9;
-  const char* const line_end = line.data() + line.size();
-  const auto [len_end, ec] = std::from_chars(len_begin, line_end, len);
-  if (ec != std::errc() || len_end == len_begin || len_end >= line_end ||
-      *len_end != ' ') {
-    why = "bad frame length field";
-    return false;
-  }
-  payload = std::string_view(len_end + 1, line_end);
-  if (payload.size() != len) {
-    why = "frame length mismatch (torn record)";
-    return false;
-  }
-  if (crc32(payload) != crc) {
-    why = "frame checksum mismatch (corrupt record)";
-    return false;
-  }
-  return true;
 }
 
 bool fsync_file(const char* path) {
@@ -418,93 +351,76 @@ bool load_state_file(const std::string& path,
 
 std::size_t save_session(const SessionCheckpoint& session,
                          std::ostream& out) {
-  out << kSessionHeaderV3 << "\n";
-  // Each record is built as a payload string first so its CRC and byte
-  // length can frame it: "<crc:8 hex> <len> <payload>\n".
-  const auto emit = [&out](const std::string& payload) {
-    char head[32];
-    std::snprintf(head, sizeof(head), "%08x %zu ", crc32(payload),
-                  payload.size());
-    out << head << payload << "\n";
+  out << kSessionHeader << "\n";
+  // Each record is built into one payload buffer, then framed onto
+  // `out` by emit().  Resetting the buffer from a const empty string
+  // keeps its capacity for the next record.
+  std::ostringstream p;
+  p.precision(17);
+  const std::string empty;
+  const auto emit = [&] {
+    write_frame(out, p.view());
+    p.str(empty);
   };
-  const auto payload = [](auto&& fill) {
-    std::ostringstream p;
-    p.precision(17);
-    fill(p);
-    return std::move(p).str();
-  };
-  emit(payload([&](std::ostream& p) {
-    p << "meta " << session.seed << " " << session.budget << " "
-      << session.workload;
-  }));
-  emit(payload([&](std::ostream& p) {
-    p << "seeding " << (session.indexed_seeding ? "indexed" : "sequential");
-  }));
+  p << "meta " << session.seed << " " << session.budget << " "
+    << session.workload;
+  emit();
+  p << "seeding " << (session.indexed_seeding ? "indexed" : "sequential");
+  emit();
   // Only racing-active sessions carry the record: racing-off journals
   // stay byte-identical to those of releases without the racing layer.
   if (!session.racing_mode.empty() && session.racing_mode != "off") {
-    emit(payload([&](std::ostream& p) {
-      p << "racing " << session.racing_mode;
-    }));
+    p << "racing " << session.racing_mode;
+    emit();
   }
-  emit(payload([&](std::ostream& p) {
-    p << "selected " << session.selected.size();
-    for (std::size_t idx : session.selected) p << " " << idx;
-  }));
-  emit(payload([&](std::ostream& p) {
-    p << "selection-draws " << session.selection_seed_draws;
-  }));
-  emit(payload([&](std::ostream& p) {
-    p << "selection-cost " << session.selection_cost_s;
-  }));
+  p << "selected " << session.selected.size();
+  for (std::size_t idx : session.selected) p << " " << idx;
+  emit();
+  p << "selection-draws " << session.selection_seed_draws;
+  emit();
+  p << "selection-cost " << session.selection_cost_s;
+  emit();
   for (const auto& config : session.memoized) {
-    emit(payload([&](std::ostream& p) {
-      p << "memo " << config.value_s << " " << config.unit.size();
-      for (double u : config.unit) p << " " << u;
-    }));
+    p << "memo " << config.value_s << " " << config.unit.size();
+    for (double u : config.unit) p << " " << u;
+    emit();
   }
   for (const auto& e : session.evaluations) {
-    emit(payload([&](std::ostream& p) {
-      p << "eval " << e.index << " " << sparksim::to_string(e.status) << " "
-        << e.value_s << " " << e.cost_s << " " << (e.stopped_early ? 1 : 0)
-        << " " << (e.transient ? 1 : 0) << " " << e.attempts << " "
-        << e.unit.size();
-      for (double u : e.unit) p << " " << u;
-    }));
+    p << "eval " << e.index << " " << sparksim::to_string(e.status) << " "
+      << e.value_s << " " << e.cost_s << " " << (e.stopped_early ? 1 : 0)
+      << " " << (e.transient ? 1 : 0) << " " << e.attempts << " "
+      << e.unit.size();
+    for (double u : e.unit) p << " " << u;
+    emit();
   }
   for (const auto& event : session.kill_events) {
-    emit(payload([&](std::ostream& p) {
-      p << "kill " << event.index << " "
-        << sparksim::to_string(event.reason);
-    }));
+    p << "kill " << event.index << " " << sparksim::to_string(event.reason);
+    emit();
   }
   for (const auto& event : session.degrade_events) {
-    emit(payload([&](std::ostream& p) {
-      p << "degrade " << event.iter << " " << event.rung;
-    }));
+    p << "degrade " << event.iter << " " << event.rung;
+    emit();
   }
   // External-only records come last and only for external sessions, so
   // internal-mode journals stay byte-identical to pre-external releases
   // (same contract as the `racing` record above).
   if (session.external) {
-    emit(payload([&](std::ostream& p) { p << "mode external"; }));
+    p << "mode external";
+    emit();
     for (const auto& s : session.suggests) {
-      emit(payload([&](std::ostream& p) {
-        p << "suggest " << s.index << " " << s.lease << " " << s.unit.size();
-        for (double u : s.unit) p << " " << u;
-      }));
+      p << "suggest " << s.index << " " << s.lease << " " << s.unit.size();
+      for (double u : s.unit) p << " " << u;
+      emit();
     }
     for (const auto& ack : session.observe_acks) {
-      emit(payload([&](std::ostream& p) {
-        p << "observe_ack " << ack.index << " "
-          << sparksim::to_string(ack.status) << " " << ack.value_s << " "
-          << ack.cost_s;
-      }));
+      p << "observe_ack " << ack.index << " "
+        << sparksim::to_string(ack.status) << " " << ack.value_s << " "
+        << ack.cost_s;
+      emit();
     }
     for (const auto& expiry : session.lease_expiries) {
-      emit(payload([&](std::ostream& p) {
-        p << "lease_expired " << expiry.index << " " << expiry.lease;
-      }));
+      p << "lease_expired " << expiry.index << " " << expiry.lease;
+      emit();
     }
   }
   return session.evaluations.size();
@@ -517,82 +433,26 @@ std::size_t load_session(std::istream& in, SessionCheckpoint& session) {
 std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          LoadMode mode, SessionLoadReport* report,
                          const std::string& source) {
-  SessionLoadReport local;
-  SessionLoadReport& rep = report ? *report : local;
-  rep = SessionLoadReport{};
   session = SessionCheckpoint{};
-
-  std::string line;
-  std::size_t line_no = 1;
-  if (!std::getline(in, line)) {
-    if (mode == LoadMode::kRecover) {
-      rep.recovered = true;
-      return 0;
-    }
-    throw InvalidArgument("load_session: " + source + ": empty stream");
-  }
-  int version = 0;
-  if (line == kSessionHeaderV3) {
-    version = 3;
-  } else if (line == kSessionHeaderV2) {
-    version = 2;
-  } else if (line == kSessionHeaderV1) {
-    version = 1;
-  } else if (mode == LoadMode::kRecover) {
-    // A header torn mid-write: nothing trustworthy follows.
-    rep.recovered = true;
-    ++rep.dropped_records;
-    while (std::getline(in, line)) ++rep.dropped_records;
-    return 0;
-  } else {
-    throw InvalidArgument("load_session: " + source +
-                          ": unrecognized header: " + line);
-  }
-  rep.version = version;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    if (version == 3) {
-      std::string_view record;
-      std::string why;
-      bool ok = unframe(line, record, why);
-      if (ok) {
-        RecordParser parser(record, source, line_no);
-        if (mode == LoadMode::kRecover) {
-          // A frame that passes CRC but fails to parse is still treated
-          // as the corruption point: nothing after it can be trusted.
-          // Parse against a scratch copy so a half-parsed record cannot
-          // leave partially-mutated fields in the kept prefix.
-          SessionCheckpoint scratch = session;
-          try {
-            parse_session_record(parser, /*v1=*/false, scratch);
-            session = std::move(scratch);
-          } catch (const InvalidArgument&) {
-            ok = false;
-          }
-        } else {
-          parse_session_record(parser, /*v1=*/false, session);
+  const std::string text(std::istreambuf_iterator<char>(in), {});
+  const FramedWalk walk = walk_framed_lines(
+      text, kSessionHeader, mode, "load_session: " + source,
+      [&session](std::string_view payload, std::string& why) {
+        try {
+          RecordParser parser(payload);
+          parse_session_record(parser, session);
+          return true;
+        } catch (const InvalidArgument& e) {
+          why = e.what();
+          return false;
         }
-      }
-      if (!ok) {
-        if (mode == LoadMode::kRecover) {
-          rep.recovered = true;
-          ++rep.dropped_records;
-          while (std::getline(in, line)) ++rep.dropped_records;
-          break;
-        }
-        throw InvalidArgument("load_session: " + source + ":" +
-                              std::to_string(line_no) + ": " + why);
-      }
-    } else {
-      // Legacy unframed journals carry no checksum, so corruption is not
-      // reliably detectable: parse strictly regardless of mode.
-      RecordParser parser(line, source, line_no);
-      parse_session_record(parser, version == 1, session);
-    }
+      });
+  if (report != nullptr) {
+    report->evaluations = session.evaluations.size();
+    report->dropped_records = walk.dropped;
+    report->recovered = walk.recovered;
+    report->header_ok = walk.header_ok;
   }
-  rep.evaluations = session.evaluations.size();
   return session.evaluations.size();
 }
 

@@ -18,7 +18,8 @@
 // deterministically instead of re-running the cluster.
 //
 // Checkpoint format (v3, crash-safe).  The first line is the bare
-// header; every following line is a *framed record*:
+// header; every following line is a frame of the framed-line codec
+// (common/framed_line.h), which owns the frame grammar:
 //
 //   robotune-session v3
 //   <crc32:8 lowercase hex> <len:decimal payload bytes> <payload>
@@ -61,9 +62,11 @@
 // The framing makes a torn write (power loss mid-checkpoint) or a bit
 // flip detectable at load time: in LoadMode::kRecover the loader
 // truncates at the first bad frame and returns the longest valid record
-// prefix instead of throwing; LoadMode::kStrict keeps the historical
-// throw-on-corruption behavior.  v2 and v1 journals (unframed) are still
-// read — read-only compatibility; the next flush rewrites the file as v3.
+// prefix instead of throwing; LoadMode::kStrict throws on any
+// corruption.  Only v3 is read: a `robotune-session v1`/`v2` header is
+// rejected like any unrecognized header.  To migrate such a journal,
+// resume it once with a release that still reads it (before the
+// framed-line codec), which rewrites it as v3.
 //
 // A parallel session journals evaluations in *completion* order, which
 // under concurrency is not index order and can have holes after a crash
@@ -77,6 +80,7 @@
 #include <string>
 #include <vector>
 
+#include "common/framed_line.h"
 #include "core/memoization.h"
 #include "sparksim/engine.h"
 
@@ -234,10 +238,7 @@ bool load_state_file(const std::string& path,
                      ConfigMemoizationBuffer& memo);
 
 /// How load_session treats a torn or corrupt journal.
-enum class LoadMode {
-  kStrict,   ///< any bad frame / malformed record throws InvalidArgument
-  kRecover,  ///< truncate at the first bad record, keep the valid prefix
-};
+using robotune::LoadMode;
 
 /// Durability of save_session_file.
 enum class SyncPolicy {
@@ -250,23 +251,22 @@ struct SessionLoadReport {
   std::size_t evaluations = 0;      ///< eval records loaded
   std::size_t dropped_records = 0;  ///< journal lines discarded (recover)
   bool recovered = false;           ///< true when anything was dropped
-  int version = 0;                  ///< journal format version (1, 2, 3)
+  bool header_ok = false;           ///< the journal has a v3 header
 };
 
 /// Serializes a session checkpoint (v3 framed format).  Returns the
 /// journal length.
 std::size_t save_session(const SessionCheckpoint& session, std::ostream& out);
 
-/// Restores a checkpoint written by save_session (v3) or by older
-/// releases (v2/v1, read-only).  Strict mode: throws InvalidArgument on
-/// malformed input.  Returns the journal length.
+/// Restores a checkpoint written by save_session.  Strict mode: throws
+/// InvalidArgument on malformed input.  Returns the journal length.
 std::size_t load_session(std::istream& in, SessionCheckpoint& session);
 
-/// LoadMode-aware variant.  In kRecover, a v3 journal with a torn or
+/// LoadMode-aware variant.  In kRecover, a journal with a torn or
 /// bit-flipped tail loads its longest valid record prefix and never
-/// throws (a corrupt header yields an empty checkpoint); legacy v2/v1
-/// journals are always parsed strictly.  `source` labels error messages
-/// (file path); `report`, when non-null, receives what happened.
+/// throws (a corrupt header yields an empty checkpoint with
+/// `header_ok` false).  `source` labels error messages (file path);
+/// `report`, when non-null, receives what happened.
 std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          LoadMode mode, SessionLoadReport* report = nullptr,
                          const std::string& source = "<stream>");

@@ -9,7 +9,7 @@
 #include <limits>
 #include <sstream>
 
-#include "common/crc32.h"
+#include "common/framed_line.h"
 #include "tuners/bestconfig.h"
 #include "tuners/gunther.h"
 #include "tuners/random_search.h"
@@ -18,7 +18,7 @@ namespace robotune::core {
 
 namespace {
 
-constexpr const char* kSpecHeader = "robotune-spec v1";
+constexpr std::string_view kSpecHeader = "robotune-spec v1";
 
 bool workload_from_short_name(const std::string& name,
                               sparksim::WorkloadKind& out) {
@@ -282,10 +282,10 @@ bool decode_spec_body(const std::string& body, SessionSpec& spec,
 }
 
 std::string encode_spec(const SessionSpec& spec) {
-  const std::string body = encode_spec_body(spec);
-  char head[32];
-  std::snprintf(head, sizeof(head), "%08x %zu ", crc32(body), body.size());
-  return std::string(kSpecHeader) + "\n" + head + body + "\n";
+  std::string out(kSpecHeader);
+  out.push_back('\n');
+  append_frame(out, encode_spec_body(spec));
+  return out;
 }
 
 bool decode_spec(const std::string& text, SessionSpec& spec,
@@ -294,38 +294,22 @@ bool decode_spec(const std::string& text, SessionSpec& spec,
     if (error != nullptr) *error = why;
     return false;
   };
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kSpecHeader) {
+  // The header line, then exactly one newline-terminated frame.
+  std::string_view rest(text);
+  if (!rest.starts_with(kSpecHeader) ||
+      rest.substr(kSpecHeader.size(), 1) != "\n") {
     return fail("bad spec header");
   }
-  if (!std::getline(in, line)) return fail("missing spec record");
-  // Frame: "<crc32:8 hex> <len> <payload>".
-  if (line.size() < 10 || line[8] != ' ') return fail("bad spec frame");
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = line[static_cast<std::size_t>(i)];
-    std::uint32_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      return fail("bad spec frame checksum field");
-    }
-    crc = (crc << 4) | nibble;
+  rest.remove_prefix(kSpecHeader.size() + 1);
+  if (rest.empty()) return fail("missing spec record");
+  if (rest.find('\n') != rest.size() - 1) {
+    return fail("spec record is not one newline-terminated line");
   }
-  const std::size_t len_end = line.find(' ', 9);
-  if (len_end == std::string::npos) return fail("bad spec frame length");
-  std::size_t len = 0;
-  for (std::size_t i = 9; i < len_end; ++i) {
-    if (line[i] < '0' || line[i] > '9') return fail("bad spec frame length");
-    len = len * 10 + static_cast<std::size_t>(line[i] - '0');
-  }
-  const std::string body = line.substr(len_end + 1);
-  if (body.size() != len) return fail("spec frame length mismatch (torn)");
-  if (crc32(body) != crc) return fail("spec checksum mismatch (corrupt)");
-  return decode_spec_body(body, spec, error);
+  rest.remove_suffix(1);
+  std::string_view body;
+  std::string why;
+  if (!parse_frame(rest, body, why)) return fail("spec " + why);
+  return decode_spec_body(std::string(body), spec, error);
 }
 
 bool save_spec_file(const SessionSpec& spec, const std::string& path) {

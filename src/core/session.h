@@ -10,9 +10,10 @@
 // standalone `robotune_cli` invocation with the same spec produce
 // byte-identical journals.
 //
-// Specs persist as a small framed file (same CRC32 framing as the v3
-// journal) so the daemon can re-create its fleet after a restart and
-// detect a corrupt spec instead of replaying garbage:
+// Specs persist as a small framed file (one frame of the framed-line
+// codec, common/framed_line.h, after the header) so the daemon can
+// re-create its fleet after a restart and detect a corrupt spec instead
+// of replaying garbage:
 //
 //   robotune-spec v1
 //   <crc32:8 hex> <len> workload=PR dataset=1 tuner=robotune ...

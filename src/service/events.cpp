@@ -6,13 +6,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <utility>
 
-#include "common/error.h"
+#include "common/framed_line.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "service/protocol.h"
 
 namespace robotune::service {
 
@@ -178,18 +178,6 @@ std::vector<std::string> chain_paths(const EventJournal::Options& options) {
   return out;
 }
 
-std::size_t count_lines(std::string_view text) {
-  std::size_t n = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    ++n;
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  return n;
-}
-
 }  // namespace
 
 bool logical_event_kind(std::string_view kind) {
@@ -251,74 +239,33 @@ bool EventJournal::load_file(const std::string& path,
                              std::vector<FleetEvent>& out,
                              core::LoadMode mode, LoadReport* report_out) {
   out.clear();
-  LoadReport report;
-  const auto deliver = [&]() {
-    report.events = out.size();
-    if (report_out != nullptr) *report_out = report;
-  };
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    deliver();
+    if (report_out != nullptr) *report_out = LoadReport{};
     return false;
   }
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  const bool strict = mode == core::LoadMode::kStrict;
-
-  if (content.empty()) {
-    if (strict) throw InvalidArgument("load_events: " + path + ": empty stream");
-    deliver();
-    return true;
-  }
-  std::size_t eol = content.find('\n');
-  if (eol == std::string::npos ||
-      std::string_view(content).substr(0, eol) != kHeader) {
-    if (strict) {
-      throw InvalidArgument("load_events: " + path + ":1: bad header");
-    }
-    report.header_ok = false;
-    report.recovered = true;
-    report.dropped = count_lines(content);
-    deliver();
-    return true;
-  }
-  std::size_t cursor = eol + 1;
-  report.valid_bytes = cursor;
-  std::size_t line_no = 1;
+  const std::string content(std::istreambuf_iterator<char>(in), {});
   std::uint64_t prev_seq = 0;
-  while (cursor < content.size()) {
-    ++line_no;
-    std::string why;
-    eol = content.find('\n', cursor);
-    bool ok = eol != std::string::npos;
-    if (!ok) why = "torn record (no trailing newline)";
-    FleetEvent event;
-    if (ok) {
-      std::string payload;
-      const std::string_view line(content.data() + cursor, eol - cursor);
-      ok = unframe_line(line, payload, why) &&
-           parse_event(payload, event, why);
-      if (ok && event.seq <= prev_seq) {
-        ok = false;
-        why = "non-monotonic sequence number";
-      }
-    }
-    if (!ok) {
-      if (strict) {
-        throw InvalidArgument("load_events: " + path + ":" +
-                              std::to_string(line_no) + ": " + why);
-      }
-      report.recovered = true;
-      report.dropped =
-          count_lines(std::string_view(content).substr(cursor));
-      break;
-    }
-    prev_seq = event.seq;
-    out.push_back(std::move(event));
-    cursor = eol + 1;
-    report.valid_bytes = cursor;
+  const FramedWalk walk = walk_framed_lines(
+      content, kHeader, mode, "load_events: " + path,
+      [&](std::string_view payload, std::string& why) {
+        FleetEvent event;
+        if (!parse_event(payload, event, why)) return false;
+        if (event.seq <= prev_seq) {
+          why = "non-monotonic sequence number";
+          return false;
+        }
+        prev_seq = event.seq;
+        out.push_back(std::move(event));
+        return true;
+      });
+  if (report_out != nullptr) {
+    report_out->events = out.size();
+    report_out->dropped = walk.dropped;
+    report_out->recovered = walk.recovered;
+    report_out->header_ok = walk.header_ok;
+    report_out->valid_bytes = walk.valid_bytes;
   }
-  deliver();
   return true;
 }
 
@@ -354,7 +301,9 @@ bool EventJournal::open(const Options& options, std::string* error) {
   if (options_.path.empty()) return true;  // journal disabled
 
   std::error_code ec;
-  if (fs::exists(options_.path, ec)) {
+  // An empty file (a crash before the header reached the disk) simply
+  // restarts below.
+  if (fs::exists(options_.path, ec) && !fs::is_empty(options_.path, ec)) {
     std::vector<FleetEvent> events;
     LoadReport report;
     load_file(options_.path, events, core::LoadMode::kRecover, &report);
@@ -443,7 +392,8 @@ void EventJournal::emit(std::uint64_t session, std::string_view kind,
   event.ts_ms = wall_clock_ms();
   event.kind.assign(kind);
   event.detail.assign(detail);
-  const std::string frame = frame_message(encode_event(event));
+  std::string frame;
+  append_frame(frame, encode_event(event));
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
     // Disk failure must never wedge the fleet: drop the journal, keep
     // serving.

@@ -8,8 +8,9 @@
 //   robotune-events v1
 //   <crc32:8 hex> <len> {"seq":1,"sid":3,"ts_ms":...,"kind":"admission.accept","detail":""}
 //
-// The framing is the wire protocol's / journal v3's `<crc32> <len>
-// <payload>` line frame, so the loader mirrors journal v3 semantics:
+// Records are frames of the framed-line codec (common/framed_line.h),
+// the same frame the session journal and the wire protocol use, and the
+// loader is the codec's line walker shared with the session journal:
 // LoadMode::kStrict throws InvalidArgument at the first torn or corrupt
 // record (with file:line), LoadMode::kRecover truncates to the longest
 // valid prefix and reports how many trailing lines were dropped — the

@@ -5,16 +5,11 @@
 #include <sstream>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/framed_line.h"
 
 namespace robotune::service {
 
 namespace {
-
-// Frames larger than this are rejected outright: no legitimate message
-// (even a start request embedding a full spec) comes close, and the cap
-// stops a garbage stream from ballooning the reader buffer.
-constexpr std::size_t kMaxFrameBytes = 1 << 20;
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
@@ -107,59 +102,15 @@ bool unescape(std::string_view value, std::string& out) {
 }
 
 std::string frame_message(std::string_view payload) {
-  char head[32];
-  std::snprintf(head, sizeof(head), "%08x %zu ", crc32(payload),
-                payload.size());
-  std::string out(head);
-  out.append(payload);
-  out.push_back('\n');
+  std::string out;
+  append_frame(out, payload);
   return out;
 }
 
 bool unframe_line(std::string_view line, std::string& payload,
                   std::string& error) {
-  if (line.size() < 10 || line[8] != ' ') {
-    error = "bad message frame";
-    return false;
-  }
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = line[static_cast<std::size_t>(i)];
-    // The frame header is always lowercase hex.
-    const int nibble = (c >= 'A' && c <= 'F') ? -1 : hex_value(c);
-    if (nibble < 0) {
-      error = "bad frame checksum field";
-      return false;
-    }
-    crc = (crc << 4) | static_cast<std::uint32_t>(nibble);
-  }
-  std::size_t len = 0;
-  std::size_t pos = 9;
-  if (pos >= line.size() || line[pos] < '0' || line[pos] > '9') {
-    error = "bad frame length field";
-    return false;
-  }
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    len = len * 10 + static_cast<std::size_t>(line[pos] - '0');
-    if (len > kMaxFrameBytes) {
-      error = "frame too large";
-      return false;
-    }
-    ++pos;
-  }
-  if (pos >= line.size() || line[pos] != ' ') {
-    error = "bad frame length field";
-    return false;
-  }
-  const std::string_view body = line.substr(pos + 1);
-  if (body.size() != len) {
-    error = "frame length mismatch (torn message)";
-    return false;
-  }
-  if (crc32(body) != crc) {
-    error = "frame checksum mismatch (corrupt message)";
-    return false;
-  }
+  std::string_view body;
+  if (!parse_frame(line, body, error)) return false;
   payload.assign(body);
   return true;
 }
@@ -172,19 +123,19 @@ FrameReader::Result FrameReader::next(std::string& payload,
   }
   const std::size_t newline = buffer_.find('\n');
   if (newline == std::string::npos) {
-    if (buffer_.size() > kMaxFrameBytes + 32) {
+    if (buffer_.size() > kMaxFramePayloadBytes + 32) {
       corrupt_ = true;
       error = "unterminated frame exceeds the size cap";
       return Result::kCorrupt;
     }
     return Result::kNeedMore;
   }
-  const std::string line = buffer_.substr(0, newline);
-  buffer_.erase(0, newline + 1);
-  if (!unframe_line(line, payload, error)) {
+  if (!unframe_line(std::string_view(buffer_).substr(0, newline), payload,
+                    error)) {
     corrupt_ = true;
     return Result::kCorrupt;
   }
+  buffer_.erase(0, newline + 1);
   return Result::kReady;
 }
 

@@ -1,8 +1,9 @@
 // Wire protocol of the tuning service (DESIGN.md §13).
 //
-// Every message — request or response — is one framed line, reusing the
-// v3 journal's CRC32 framing so a torn or corrupted socket stream is
-// detected instead of half-parsed:
+// Every message — request or response — is one frame of the framed-line
+// codec (common/framed_line.h), the same frame the session journal uses,
+// so a torn or corrupted socket stream is detected instead of
+// half-parsed:
 //
 //   <crc32:8 lowercase hex> <len:decimal payload bytes> <payload>\n
 //
@@ -37,7 +38,7 @@ std::string escape(std::string_view value);
 /// Reverses escape().  Returns false on a malformed escape sequence.
 bool unescape(std::string_view value, std::string& out);
 
-/// Wraps a payload in the CRC frame (with trailing newline).
+/// Wraps a payload in its frame (with trailing newline).
 std::string frame_message(std::string_view payload);
 
 /// Incremental frame parser for a byte stream (socket reads arrive in
@@ -64,7 +65,8 @@ class FrameReader {
   bool corrupt_ = false;
 };
 
-/// Parses one frame line (no trailing newline) into its payload.
+/// Parses one frame line (no trailing newline) into its payload; the
+/// payload cap is kMaxFramePayloadBytes.
 bool unframe_line(std::string_view line, std::string& payload,
                   std::string& error);
 

@@ -895,7 +895,7 @@ FleetRecovery SessionManager::recover_fleet() {
       quarantine(id, recovery);
       continue;
     }
-    if (have_journal && report.version == 0) {
+    if (have_journal && !report.header_ok) {
       quarantine(id, recovery);
       continue;
     }

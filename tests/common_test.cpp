@@ -1,12 +1,16 @@
-// Unit tests for src/common: RNG, statistics, thread pool, error helpers.
+// Unit tests for src/common: RNG, statistics, thread pool, error helpers,
+// and the framed-line codec.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/framed_line.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
@@ -425,6 +429,154 @@ TEST(ThreadPoolTest, ConfigureGlobalIsFirstUseOnly) {
 TEST(ErrorTest, RequireThrowsOnViolation) {
   EXPECT_THROW(require(false, "nope"), InvalidArgument);
   EXPECT_NO_THROW(require(true, "fine"));
+}
+
+// -------------------------------------------------------- framed line ----
+
+/// The frame of `payload` without its trailing newline.
+std::string frame_line(std::string_view payload) {
+  std::string out;
+  append_frame(out, payload);
+  EXPECT_EQ(out.back(), '\n');
+  out.pop_back();
+  return out;
+}
+
+TEST(FramedLineTest, FrameBytesArePinned) {
+  // crc32("abc") = 0x352441c2; the stream writer emits the same bytes.
+  std::string appended = "x";
+  append_frame(appended, "abc");
+  EXPECT_EQ(appended, "x352441c2 3 abc\n");
+  std::ostringstream written;
+  write_frame(written, "abc");
+  EXPECT_EQ(written.str(), "352441c2 3 abc\n");
+}
+
+TEST(FramedLineTest, RoundTripsEmptyPayloadsAndPayloadsWithSpaces) {
+  for (const std::string_view original :
+       {std::string_view(), std::string_view("key=a value with  spaces ")}) {
+    const std::string line = frame_line(original);
+    std::string_view payload;
+    std::string why;
+    ASSERT_TRUE(parse_frame(line, payload, why)) << why;
+    EXPECT_EQ(payload, original);
+  }
+}
+
+TEST(FramedLineTest, UpperCaseChecksumHexIsRejected) {
+  std::string line = frame_line("abc");  // 352441c2: one hex letter
+  line[7] = 'C';
+  std::string_view payload;
+  std::string why;
+  EXPECT_FALSE(parse_frame(line, payload, why));
+  EXPECT_NE(why.find("checksum field"), std::string::npos) << why;
+}
+
+TEST(FramedLineTest, LengthOverTheCapIsRejectedBeforeTheBody) {
+  // No body bytes follow: the cap, not a length mismatch, rejects it.
+  const std::string over =
+      "00000000 " + std::to_string(kMaxFramePayloadBytes + 1) + " ";
+  std::string_view payload;
+  std::string why;
+  EXPECT_FALSE(parse_frame(over, payload, why));
+  EXPECT_EQ(why, "frame too large");
+  // A length too long to fit any integer is the same verdict, not an
+  // overflow.
+  EXPECT_FALSE(parse_frame("00000000 99999999999999999999999 x", payload,
+                           why));
+  EXPECT_EQ(why, "frame too large");
+}
+
+TEST(FramedLineTest, TornFrameIsRejected) {
+  std::string line = frame_line("a complete payload");
+  line.pop_back();
+  std::string_view payload;
+  std::string why;
+  EXPECT_FALSE(parse_frame(line, payload, why));
+  EXPECT_NE(why.find("torn"), std::string::npos) << why;
+}
+
+TEST(FramedLineTest, ChecksumMismatchIsRejected) {
+  std::string line = frame_line("payload");
+  line.back() = 'D';
+  std::string_view payload;
+  std::string why;
+  EXPECT_FALSE(parse_frame(line, payload, why));
+  EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+}
+
+TEST(FramedLineTest, WalkerTreatsEveryLineAfterTheHeaderAsAFrame) {
+  std::string good = "hdr\n";
+  append_frame(good, "one");
+  append_frame(good, "two");
+  std::vector<std::string> seen;
+  const FramePayloadParser collect = [&seen](std::string_view payload,
+                                             std::string&) {
+    seen.emplace_back(payload);
+    return true;
+  };
+  const FramedWalk walk =
+      walk_framed_lines(good, "hdr", LoadMode::kStrict, "f", collect);
+  EXPECT_TRUE(walk.header_ok);
+  EXPECT_FALSE(walk.recovered);
+  EXPECT_EQ(walk.records, 2u);
+  EXPECT_EQ(walk.valid_bytes, good.size());
+  EXPECT_EQ(seen, (std::vector<std::string>{"one", "two"}));
+
+  // A comment, a blank line or an unterminated tail is a bad frame, not
+  // something to skip.
+  const std::string after = frame_line("after") + "\n";
+  for (const std::string& bad : std::vector<std::string>{
+           "# note\n" + after, "\n" + after, frame_line("three")}) {
+    const std::string text = good + bad;
+    seen.clear();
+    try {
+      walk_framed_lines(text, "hdr", LoadMode::kStrict, "f", collect);
+      ADD_FAILURE() << "strict walk accepted: " << bad;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("f:4: ", 0), 0u) << e.what();
+    }
+    seen.clear();
+    const FramedWalk recovered =
+        walk_framed_lines(text, "hdr", LoadMode::kRecover, "f", collect);
+    EXPECT_TRUE(recovered.recovered);
+    EXPECT_EQ(recovered.records, 2u);
+    EXPECT_EQ(recovered.valid_bytes, good.size());
+    EXPECT_EQ(seen.size(), 2u);
+  }
+}
+
+TEST(FramedLineTest, WalkerReportsHeaderAndParserFailures) {
+  const FramePayloadParser reject_two = [](std::string_view payload,
+                                           std::string& why) {
+    why = "no twos";
+    return payload != "two";
+  };
+  std::string text = "hdr\n";
+  append_frame(text, "one");
+  append_frame(text, "two");
+  append_frame(text, "three");
+  EXPECT_THROW(
+      walk_framed_lines(text, "hdr", LoadMode::kStrict, "f", reject_two),
+      InvalidArgument);
+  const FramedWalk walk =
+      walk_framed_lines(text, "hdr", LoadMode::kRecover, "f", reject_two);
+  EXPECT_EQ(walk.records, 1u);
+  EXPECT_EQ(walk.dropped, 2u);
+
+  const FramedWalk bad_header =
+      walk_framed_lines(text, "other", LoadMode::kRecover, "f", reject_two);
+  EXPECT_FALSE(bad_header.header_ok);
+  EXPECT_TRUE(bad_header.recovered);
+  EXPECT_EQ(bad_header.dropped, 4u);
+  EXPECT_EQ(bad_header.valid_bytes, 0u);
+
+  const FramedWalk empty =
+      walk_framed_lines("", "hdr", LoadMode::kRecover, "f", reject_two);
+  EXPECT_FALSE(empty.header_ok);
+  EXPECT_TRUE(empty.recovered);
+  EXPECT_THROW(walk_framed_lines("", "hdr", LoadMode::kStrict, "f", reject_two),
+               InvalidArgument);
 }
 
 }  // namespace

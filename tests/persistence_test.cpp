@@ -230,7 +230,7 @@ TEST(SessionJournalV3Test, RoundTripsIncludingDegradeEvents) {
   SessionLoadReport report;
   std::istringstream in(text);
   load_session(in, loaded, LoadMode::kStrict, &report);
-  EXPECT_EQ(report.version, 3);
+  EXPECT_TRUE(report.header_ok);
   EXPECT_FALSE(report.recovered);
   EXPECT_EQ(report.evaluations, 6u);
   EXPECT_EQ(loaded.workload, "TeraSort");
@@ -336,33 +336,38 @@ TEST(SessionJournalV3Test, BitFlipAtEveryByteIsCaughtByTheChecksum) {
   save_session(reference, stream);
   const std::string full = stream.str();
 
+  // Every single-bit flip of every byte.  Flips that turn a checksum
+  // character into '#' or into its upper-case twin are the sneaky ones:
+  // a loader that skipped '#' lines or read hex case-insensitively let
+  // them through as if the journal were intact.
   for (std::size_t at = 0; at < full.size(); ++at) {
-    std::string flipped = full;
-    // Set the high bit: never produces '#', '\n', or a valid frame char,
-    // so every flip position is a detectable corruption.
-    flipped[at] = static_cast<char>(
-        static_cast<unsigned char>(flipped[at]) ^ 0x80u);
-    {
-      std::istringstream in(flipped);
-      SessionCheckpoint loaded;
-      EXPECT_THROW(load_session(in, loaded, LoadMode::kStrict),
-                   InvalidArgument)
-          << "flip at byte " << at;
-    }
-    {
-      std::istringstream in(flipped);
-      SessionCheckpoint loaded;
-      SessionLoadReport report;
-      ASSERT_NO_THROW(
-          load_session(in, loaded, LoadMode::kRecover, &report))
-          << "flip at byte " << at;
-      EXPECT_TRUE(report.recovered) << "flip at byte " << at;
-      EXPECT_GE(report.dropped_records, 1u);
-      expect_prefix_of(loaded, reference);
-      EXPECT_LT(loaded.evaluations.size() + loaded.degrade_events.size(),
-                reference.evaluations.size() +
-                    reference.degrade_events.size() + 1)
-          << "flip at byte " << at;
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::string flipped = full;
+      flipped[at] = static_cast<char>(
+          static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
+      {
+        std::istringstream in(flipped);
+        SessionCheckpoint loaded;
+        EXPECT_THROW(load_session(in, loaded, LoadMode::kStrict),
+                     InvalidArgument)
+            << "flip of bit " << bit << " at byte " << at;
+      }
+      {
+        std::istringstream in(flipped);
+        SessionCheckpoint loaded;
+        SessionLoadReport report;
+        ASSERT_NO_THROW(
+            load_session(in, loaded, LoadMode::kRecover, &report))
+            << "flip of bit " << bit << " at byte " << at;
+        EXPECT_TRUE(report.recovered)
+            << "flip of bit " << bit << " at byte " << at;
+        EXPECT_GE(report.dropped_records, 1u);
+        expect_prefix_of(loaded, reference);
+        EXPECT_LT(loaded.evaluations.size() + loaded.degrade_events.size(),
+                  reference.evaluations.size() +
+                      reference.degrade_events.size() + 1)
+            << "flip of bit " << bit << " at byte " << at;
+      }
     }
   }
 }
@@ -383,43 +388,39 @@ TEST(SessionJournalV3Test, EmptyStreamStrictThrowsRecoverReturnsEmpty) {
   }
 }
 
-TEST(SessionJournalV2Test, LegacyJournalsStillLoadReadOnly) {
-  const std::string v2 =
-      "robotune-session v2\n"
-      "meta 5 20 TeraSort\n"
-      "seeding indexed\n"
-      "selected 2 0 29\n"
-      "selection-draws 60\n"
-      "selection-cost 1234.5\n"
-      "memo 99.25 1 0.5\n"
-      "eval 0 ok 120.5 120.5 0 0 1 2 0.25 0.75\n"
-      "eval 1 time-limit 480 480 1 0 1 2 0.1 0.9\n";
-  for (const LoadMode mode : {LoadMode::kStrict, LoadMode::kRecover}) {
-    std::istringstream in(v2);
-    SessionCheckpoint s;
-    SessionLoadReport report;
-    EXPECT_EQ(load_session(in, s, mode, &report), 2u);
-    EXPECT_EQ(report.version, 2);
-    EXPECT_FALSE(report.recovered);
-    EXPECT_EQ(s.workload, "TeraSort");
-    EXPECT_TRUE(s.indexed_seeding);
-    EXPECT_EQ(s.selected, (std::vector<std::size_t>{0, 29}));
-    ASSERT_EQ(s.evaluations.size(), 2u);
-    EXPECT_EQ(s.evaluations[1].index, 1u);
-    EXPECT_TRUE(s.evaluations[1].stopped_early);
+TEST(SessionJournalV3Test, LegacyV1AndV2HeadersAreRejected) {
+  // The unframed v1/v2 formats are no longer read: their headers fail
+  // like any unrecognized header.  Recover mode keeps nothing and
+  // reports the bad header, which fleet recovery quarantines.
+  for (const std::string header :
+       {"robotune-session v1", "robotune-session v2"}) {
+    const std::string legacy = header +
+                               "\nmeta 5 20 TeraSort\n"
+                               "eval 0 ok 120.5 120.5 0 0 1 1 0.25\n";
+    {
+      std::istringstream in(legacy);
+      SessionCheckpoint s;
+      try {
+        load_session(in, s, LoadMode::kStrict, nullptr, "old.ckpt");
+        FAIL() << "expected InvalidArgument for header: " << header;
+      } catch (const InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("old.ckpt:1: unrecognized header"),
+                  std::string::npos)
+            << what;
+      }
+    }
+    {
+      std::istringstream in(legacy);
+      SessionCheckpoint s;
+      SessionLoadReport report;
+      EXPECT_EQ(load_session(in, s, LoadMode::kRecover, &report), 0u);
+      EXPECT_FALSE(report.header_ok);
+      EXPECT_TRUE(report.recovered);
+      EXPECT_EQ(report.dropped_records, 3u);
+      EXPECT_TRUE(s.workload.empty());
+    }
   }
-}
-
-TEST(SessionJournalV2Test, LegacyCorruptionThrowsEvenInRecoverMode) {
-  // Unframed journals carry no checksum, so corruption cannot be
-  // reliably detected — recover mode refuses to guess.
-  const std::string v2 =
-      "robotune-session v2\n"
-      "meta 5 20 TeraSort\n"
-      "eval 0 ok 120.5 oops 0 0 1 1 0.25\n";
-  std::istringstream in(v2);
-  SessionCheckpoint s;
-  EXPECT_THROW(load_session(in, s, LoadMode::kRecover), InvalidArgument);
 }
 
 TEST(CanonicalizeJournalTest, PrunesKillEventsPastTheReplayablePrefix) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/framed_line.h"
 #include "core/persistence.h"
 #include "core/robotune.h"
 #include "sparksim/objective.h"
@@ -160,22 +161,15 @@ TEST(SessionCheckpointTest, MalformedInputThrows) {
     stream << "robotune-state v1\n";  // state header, not a session
     EXPECT_THROW(load_session(stream, s), InvalidArgument);
   }
-  {
-    std::stringstream stream;
-    stream << "robotune-session v1\nbogus 1 2\n";
-    EXPECT_THROW(load_session(stream, s), InvalidArgument);
-  }
-  {
-    std::stringstream stream;
-    stream << "robotune-session v1\n"
-              "eval not-a-status 1.0 1.0 0 0 1 1 0.5\n";
-    EXPECT_THROW(load_session(stream, s), InvalidArgument);
-  }
-  {
-    std::stringstream stream;
-    stream << "robotune-session v1\n"
-              "eval ok 1.0 1.0 0 0 1 3 0.5\n";  // promises 3 dims, gives 1
-    EXPECT_THROW(load_session(stream, s), InvalidArgument);
+  // Well-framed records whose payloads do not parse.
+  for (const char* payload :
+       {"bogus 1 2",
+        "eval 0 not-a-status 1.0 1.0 0 0 1 1 0.5",
+        "eval 0 ok 1.0 1.0 0 0 1 3 0.5"}) {  // promises 3 dims, gives 1
+    std::string journal = "robotune-session v3\n";
+    append_frame(journal, payload);
+    std::stringstream stream(journal);
+    EXPECT_THROW(load_session(stream, s), InvalidArgument) << payload;
   }
 }
 

@@ -197,24 +197,35 @@ TEST(EventJournal, RecoverStopsAtBitFlip) {
       journal.emit(static_cast<std::uint64_t>(i), "session.running");
     }
   }
-  std::string bytes = slurp(path);
-  // Flip a payload byte in the middle of the file: CRC must catch it.
-  bytes[bytes.size() / 2] ^= 0x40;
-  spit(path, bytes);
-  std::vector<FleetEvent> events;
-  EventJournal::LoadReport report;
-  ASSERT_TRUE(EventJournal::load_file(path, events, core::LoadMode::kRecover,
-                                      &report));
-  EXPECT_TRUE(report.recovered);
-  EXPECT_GT(report.dropped, 0u);
-  EXPECT_LT(events.size(), 5u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, i + 1);
+  const std::string bytes = slurp(path);
+  const std::string flipped_path = dir.file("flipped.jsonl");
+  // Every single-bit flip of every byte — header, frame head, payload,
+  // newline — must be caught: recover keeps a strict prefix, strict
+  // throws.
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(
+          static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
+      spit(flipped_path, flipped);
+      std::vector<FleetEvent> events;
+      EventJournal::LoadReport report;
+      ASSERT_TRUE(EventJournal::load_file(flipped_path, events,
+                                          core::LoadMode::kRecover, &report));
+      EXPECT_TRUE(report.recovered)
+          << "flip of bit " << bit << " at byte " << at;
+      EXPECT_GT(report.dropped, 0u);
+      EXPECT_LT(events.size(), 5u);
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].seq, i + 1);
+      }
+      std::vector<FleetEvent> ignored;
+      EXPECT_THROW(EventJournal::load_file(flipped_path, ignored,
+                                           core::LoadMode::kStrict, nullptr),
+                   InvalidArgument)
+          << "flip of bit " << bit << " at byte " << at;
+    }
   }
-  std::vector<FleetEvent> ignored;
-  EXPECT_THROW(EventJournal::load_file(path, ignored, core::LoadMode::kStrict,
-                                       nullptr),
-               InvalidArgument);
 }
 
 TEST(EventJournal, ReopenTruncatesTornTailAndContinuesSequence) {
@@ -259,6 +270,24 @@ TEST(EventJournal, CorruptHeaderIsSetAsideNotOverwritten) {
   EXPECT_TRUE(fs::exists(path + ".corrupt"));
   EXPECT_EQ(slurp(path + ".corrupt"),
             "not an event journal at all\ngarbage\n");
+  std::vector<FleetEvent> events;
+  ASSERT_TRUE(EventJournal::load_file(path, events, core::LoadMode::kStrict,
+                                      nullptr));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].seq, 1u);
+}
+
+TEST(EventJournal, EmptyFileRestartsWithoutBeingSetAside) {
+  // A crash between creating the file and writing its header leaves it
+  // empty: there is no history to preserve, so it simply restarts.
+  TempDir dir("empty");
+  const std::string path = dir.file("events.jsonl");
+  spit(path, "");
+  EventJournal journal;
+  ASSERT_TRUE(journal.open(journal_options(path)));
+  journal.emit(1, "queue.enter");
+  journal.close();
+  EXPECT_FALSE(fs::exists(path + ".corrupt"));
   std::vector<FleetEvent> events;
   ASSERT_TRUE(EventJournal::load_file(path, events, core::LoadMode::kStrict,
                                       nullptr));

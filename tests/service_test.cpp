@@ -330,6 +330,22 @@ TEST(ServiceSpecTest, SpecFileDetectsCorruption) {
   std::ofstream(path, std::ios::binary) << bytes;
   EXPECT_FALSE(core::load_spec_file(path, back, &error));
   EXPECT_FALSE(error.empty());
+
+  // Every single-bit flip of every byte of the encoded spec is rejected.
+  const std::string encoded = core::encode_spec(spec);
+  ASSERT_TRUE(core::decode_spec(encoded, back, &error)) << error;
+  for (std::size_t at = 0; at < encoded.size(); ++at) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::string flipped = encoded;
+      flipped[at] = static_cast<char>(
+          static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
+      core::SessionSpec scratch;
+      error.clear();
+      EXPECT_FALSE(core::decode_spec(flipped, scratch, &error))
+          << "flip of bit " << bit << " at byte " << at;
+      EXPECT_FALSE(error.empty());
+    }
+  }
 }
 
 TEST(ServiceSpecTest, ValidateRejectsBadCombinations) {
