@@ -1,10 +1,11 @@
 // Hot-path performance regression bench (DESIGN.md §8).
 //
 // Measures the GP/acquisition kernels this library spends its time in —
-// fit, single/batched prediction, and acquisition optimization with
-// numeric vs analytic gradients — and writes one JSON report that CI
-// gates on: the analytic path must beat the numeric path at the largest
-// training-set size.
+// fit, single/batched prediction, acquisition optimization with numeric
+// vs analytic gradients, and the hyperparameter refit — and writes one
+// JSON report that CI gates on: the analytic path must beat the numeric
+// path at the largest training-set size, and each hyperfit row must stay
+// within 2x of the committed report.
 //
 // Unlike the figN benches this harness times *microseconds*, so it takes
 // the best of ROBOTUNE_BENCH_HOTPATH_REPS repetitions (minimum = least
@@ -14,6 +15,10 @@
 //   ROBOTUNE_BENCH_HOTPATH_SIZES  comma-separated training sizes [20,50,100]
 //   ROBOTUNE_BENCH_HOTPATH_REPS   repetitions per measurement    [5]
 //   ROBOTUNE_BENCH_HOTPATH_DIMS   search-space dimensionality    [10]
+//
+// The hyperfit rows (`hyperfit` in the JSON) always run at n = 60, 120
+// and 255 with an ARD kernel at d = 8: a session's refits, from the
+// paper's budget up to the last exact refit before the sparse tier.
 //
 // Usage: perf_hotpath [output.json]   (default bench_results/BENCH_hotpath.json)
 #include <chrono>
@@ -32,6 +37,7 @@
 #include "gp/gaussian_process.h"
 #include "gp/kernel.h"
 #include "gp/rff_gp.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -212,8 +218,45 @@ SizeReport measure(int n, int dims, int reps) {
   return report;
 }
 
+struct HyperfitReport {
+  int n = 0;
+  int dims = 0;
+  double gp_hyperfit_ns = 0.0;  ///< one fit() with the LML search
+  std::uint64_t lml_evals = 0;  ///< objective evaluations per fit
+};
+
+HyperfitReport measure_hyperfit(int n, int dims, int reps) {
+  Rng rng(4321 + static_cast<std::uint64_t>(n));
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> p(static_cast<std::size_t>(dims));
+    for (auto& v : p) v = rng.uniform();
+    x.push_back(p);
+    y.push_back(std::sin(5.0 * p[0]) + p[1] * p[2] - 0.5 * p[3] +
+                rng.normal(0.0, 0.05));
+  }
+  HyperfitReport report;
+  report.n = n;
+  report.dims = dims;
+  const auto evals = [] {
+    const auto counters = obs::metrics().snapshot().counters;
+    const auto it = counters.find("gp.hyperfit.lml_evals");
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = evals();
+  report.gp_hyperfit_ns = time_best_ns(reps, [&] {
+    gp::GaussianProcess model(gp::ard_kernel(static_cast<std::size_t>(dims)),
+                              gp::GpOptions{}, 1);
+    model.fit(x, y);
+  });
+  report.lml_evals = (evals() - before) / static_cast<std::uint64_t>(reps);
+  return report;
+}
+
 void write_json(const std::string& path, int dims, int reps,
-                const std::vector<SizeReport>& reports) {
+                const std::vector<SizeReport>& reports,
+                const std::vector<HyperfitReport>& hyperfits) {
   const std::filesystem::path out_path(path);
   if (out_path.has_parent_path()) {
     std::filesystem::create_directories(out_path.parent_path());
@@ -241,6 +284,14 @@ void write_json(const std::string& path, int dims, int reps,
         << r.acq_opt_analytic_parallel_ns
         << ", \"speedup_analytic\": " << r.speedup_analytic << "}"
         << (i + 1 < reports.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"hyperfit\": [\n";
+  for (std::size_t i = 0; i < hyperfits.size(); ++i) {
+    const auto& h = hyperfits[i];
+    out << "    {\"n\": " << h.n << ", \"dims\": " << h.dims
+        << ", \"gp_hyperfit_ns\": " << h.gp_hyperfit_ns
+        << ", \"lml_evals\": " << h.lml_evals << "}"
+        << (i + 1 < hyperfits.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -272,7 +323,16 @@ int main(int argc, char** argv) {
         r.purge_cycle_ns / 1e3, r.rff_fit_ns / 1e3, r.speedup_sparse,
         r.speedup_analytic);
   }
-  write_json(out_path, dims, reps, reports);
+  std::printf("\n%6s %6s %14s %10s\n", "n", "dims", "hyperfit_ms",
+              "lml_evals");
+  std::vector<HyperfitReport> hyperfits;
+  for (int n : {60, 120, 255}) {
+    const HyperfitReport h = measure_hyperfit(n, 8, std::min(reps, 3));
+    hyperfits.push_back(h);
+    std::printf("%6d %6d %14.1f %10llu\n", h.n, h.dims, h.gp_hyperfit_ns / 1e6,
+                static_cast<unsigned long long>(h.lml_evals));
+  }
+  write_json(out_path, dims, reps, reports, hyperfits);
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

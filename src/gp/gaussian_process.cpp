@@ -55,7 +55,8 @@ void GaussianProcess::fit(const std::vector<std::vector<double>>& x,
 
   if (options_.optimize_hyperparameters && train_x_.size() >= 4) {
     // Maximize the log marginal likelihood over log-hyperparameters by
-    // minimizing its negation with multi-start L-BFGS (numeric gradient).
+    // minimizing its negation with multi-start L-BFGS on the analytic
+    // gradient (DESIGN.md §8): one factorization per evaluation.
     const std::vector<double> start = kernel_->log_params();
     opt::Bounds bounds;
     bounds.lower.resize(start.size());
@@ -64,17 +65,26 @@ void GaussianProcess::fit(const std::vector<std::vector<double>>& x,
       bounds.lower[i] = start[i] - options_.log_search_radius;
       bounds.upper[i] = start[i] + options_.log_search_radius;
     }
-    auto objective = opt::numeric_gradient(
-        [this](std::span<const double> log_params) -> double {
-          kernel_->set_log_params(log_params);
-          try {
-            factorize();
-          } catch (const NumericalError&) {
-            return 1e12;
-          }
-          return -log_marginal_;
-        },
-        1e-5);
+    const opt::Objective objective =
+        [this](std::span<const double> log_params,
+               std::span<double> grad) -> double {
+      obs::count("gp.hyperfit.lml_evals");
+      kernel_->set_log_params(log_params);
+      try {
+        factorize();
+      } catch (const NumericalError&) {
+        // An infeasible point, not a penalty value: the line search
+        // rejects non-finite steps and backs off toward feasible ones.
+        obs::count("gp.hyperfit.lml_failures");
+        std::fill(grad.begin(), grad.end(), 0.0);
+        return std::numeric_limits<double>::infinity();
+      }
+      if (!grad.empty()) {
+        const std::vector<double> g = log_marginal_likelihood_gradient();
+        for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = -g[i];
+      }
+      return -log_marginal_;
+    };
     Rng rng(seed_);
     opt::MultiStartOptions ms;
     // Past the sparse switchover the warm start (the previous round's
@@ -89,6 +99,8 @@ void GaussianProcess::fit(const std::vector<std::vector<double>>& x,
     ms.lbfgsb.max_iterations = 50;
     const auto result =
         opt::multistart_minimize(objective, bounds, rng, ms, {start});
+    // Infinite everywhere it looked: result.x is then the warm start, and
+    // the final factorize() below reports the failure.
     kernel_->set_log_params(result.x);
   }
   factorize();
@@ -353,6 +365,31 @@ std::vector<Prediction> GaussianProcess::predict_batch(
 double GaussianProcess::log_marginal_likelihood() const {
   require(trained(), "GaussianProcess::log_marginal_likelihood: not fitted");
   return log_marginal_;
+}
+
+std::vector<double> GaussianProcess::log_marginal_likelihood_gradient()
+    const {
+  require(trained(),
+          "GaussianProcess::log_marginal_likelihood_gradient: not fitted");
+  // Rasmussen & Williams eq. 5.9: ∂LML/∂θ = ½·tr((ααᵀ − K⁻¹)·∂K/∂θ),
+  // summed over the lower triangle of the symmetric W = ααᵀ − K⁻¹.
+  const std::size_t n = train_x_.size();
+  const linalg::Matrix k_inv = linalg::cholesky_inverse(chol_);
+  std::vector<double> grad(kernel_->num_params(), 0.0);
+  double noise_weight = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      // Each off-diagonal pair stands for two entries of the trace, each
+      // diagonal entry for one (the ½ cancels against the pair).
+      const double w = alpha_[i] * alpha_[j] - k_inv(i, j);
+      const double weight = j == i ? 0.5 * w : w;
+      kernel_->accumulate_param_gradient(train_x_[i], train_x_[j], weight,
+                                         grad);
+      if (j == i) noise_weight += weight;
+    }
+  }
+  kernel_->accumulate_noise_param_gradient(noise_weight, grad);
+  return grad;
 }
 
 double GaussianProcess::best_observed() const {

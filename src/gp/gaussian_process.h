@@ -3,7 +3,8 @@
 // Targets are standardized internally (zero mean, unit variance) so the
 // kernel's default hyperparameters are sensible for execution times of any
 // magnitude.  Hyperparameters can be refit by maximizing the log marginal
-// likelihood with multi-start L-BFGS over log-parameters.
+// likelihood with multi-start L-BFGS over log-parameters, on its analytic
+// gradient.
 #pragma once
 
 #include <cstddef>
@@ -99,6 +100,12 @@ class GaussianProcess : public Surrogate {
 
   /// Log marginal likelihood of the current fit (standardized targets).
   double log_marginal_likelihood() const;
+
+  /// ∂(log marginal likelihood)/∂logθ of the current fit, in the
+  /// kernel's log_params() order — the gradient the hyperparameter
+  /// search in fit() descends.  One O(n³) inverse from the cached
+  /// Cholesky factor plus one O(n²·p) pass over the training pairs.
+  std::vector<double> log_marginal_likelihood_gradient() const;
 
   bool trained() const noexcept override { return !train_x_.empty(); }
   std::size_t num_points() const noexcept override { return train_x_.size(); }

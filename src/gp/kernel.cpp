@@ -97,6 +97,19 @@ void Matern52::accumulate_covariance_row(
   }
 }
 
+void Matern52::accumulate_param_gradient(std::span<const double> a,
+                                         std::span<const double> b,
+                                         double weight,
+                                         std::span<double> grad) const {
+  // With ∂k/∂z = −(s²/3) z (1 + z) e^{-z} and ∂z/∂log l = −z:
+  //   ∂k/∂log l  = (s²/3) z² (1 + z) e^{-z},   ∂k/∂log s² = k.
+  const double r = std::sqrt(squared_distance(a, b));
+  const double z = kSqrt5Const * r / length_scale_;
+  const double e = std::exp(-z);
+  grad[0] += weight * (signal_variance_ / 3.0) * z * z * (1.0 + z) * e;
+  grad[1] += weight * signal_variance_ * (1.0 + z + z * z / 3.0) * e;
+}
+
 std::vector<double> Matern52::log_params() const {
   return {std::log(length_scale_), std::log(signal_variance_)};
 }
@@ -193,6 +206,28 @@ void Matern52Ard::accumulate_covariance_row(
   }
 }
 
+void Matern52Ard::accumulate_param_gradient(std::span<const double> a,
+                                            std::span<const double> b,
+                                            double weight,
+                                            std::span<double> grad) const {
+  // With u_i = (a_i − b_i)/l_i and z = √5·|u|, ∂z/∂log l_i = −5u_i²/z, so
+  //   ∂k/∂log l_i = (5/3) s² (1 + z) e^{-z} u_i²,   ∂k/∂log s² = k.
+  const std::size_t dims = scales_.size();
+  double ss = 0.0;
+  for (std::size_t i = 0; i < dims; ++i) {
+    const double u = (a[i] - b[i]) / scales_[i];
+    ss += u * u;
+  }
+  const double z = kSqrt5Const * std::sqrt(ss);
+  const double e = std::exp(-z);
+  const double coef = weight * (5.0 / 3.0) * signal_variance_ * (1.0 + z) * e;
+  for (std::size_t i = 0; i < dims; ++i) {
+    const double u = (a[i] - b[i]) / scales_[i];
+    grad[i] += coef * u * u;
+  }
+  grad[dims] += weight * signal_variance_ * (1.0 + z + z * z / 3.0) * e;
+}
+
 std::vector<double> Matern52Ard::log_params() const {
   std::vector<double> out;
   out.reserve(scales_.size() + 1);
@@ -284,6 +319,23 @@ void SumKernel::accumulate_covariance_row(
 
 double SumKernel::diagonal_noise() const {
   return a_->diagonal_noise() + b_->diagonal_noise();
+}
+
+void SumKernel::accumulate_param_gradient(std::span<const double> x,
+                                          std::span<const double> y,
+                                          double weight,
+                                          std::span<double> grad) const {
+  a_->accumulate_param_gradient(x, y, weight,
+                                grad.subspan(0, a_->num_params()));
+  b_->accumulate_param_gradient(x, y, weight,
+                                grad.subspan(a_->num_params()));
+}
+
+void SumKernel::accumulate_noise_param_gradient(double weight,
+                                                std::span<double> grad) const {
+  a_->accumulate_noise_param_gradient(weight,
+                                      grad.subspan(0, a_->num_params()));
+  b_->accumulate_noise_param_gradient(weight, grad.subspan(a_->num_params()));
 }
 
 std::size_t SumKernel::num_params() const {

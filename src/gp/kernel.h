@@ -56,6 +56,24 @@ class Kernel {
   /// points).
   virtual double diagonal_noise() const { return 0.0; }
 
+  /// Adds weight·∂k(a,b)/∂logθ into `grad` (num_params() entries, in
+  /// log_params() order) — the hyperparameter counterpart of
+  /// accumulate_gradient, summed over training pairs by the marginal-
+  /// likelihood gradient.  Pure virtual: a kernel that forgot it would
+  /// silently fit with a wrong gradient.
+  virtual void accumulate_param_gradient(std::span<const double> a,
+                                         std::span<const double> b,
+                                         double weight,
+                                         std::span<double> grad) const = 0;
+
+  /// Adds weight·∂diagonal_noise()/∂logθ into `grad`.  The default adds
+  /// nothing (correct for kernels without a noise term).
+  virtual void accumulate_noise_param_gradient(double weight,
+                                               std::span<double> grad) const {
+    (void)weight;
+    (void)grad;
+  }
+
   virtual std::size_t num_params() const = 0;
   virtual std::vector<double> log_params() const = 0;
   virtual void set_log_params(std::span<const double> values) = 0;
@@ -77,6 +95,9 @@ class Matern52 : public Kernel {
   void accumulate_covariance_row(std::span<const std::vector<double>> points,
                                  std::span<const double> x,
                                  std::span<double> out) const override;
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b, double weight,
+                                 std::span<double> grad) const override;
   std::size_t num_params() const override { return 2; }
   std::vector<double> log_params() const override;
   void set_log_params(std::span<const double> values) override;
@@ -108,6 +129,9 @@ class Matern52Ard : public Kernel {
   void accumulate_covariance_row(std::span<const std::vector<double>> points,
                                  std::span<const double> x,
                                  std::span<double> out) const override;
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b, double weight,
+                                 std::span<double> grad) const override;
   std::size_t num_params() const override { return scales_.size() + 1; }
   std::vector<double> log_params() const override;
   void set_log_params(std::span<const double> values) override;
@@ -137,6 +161,15 @@ class WhiteNoise : public Kernel {
                                  std::span<const double>,
                                  std::span<double>) const override {}
   double diagonal_noise() const override { return noise_variance_; }
+  /// No cross-covariance, so no pair term; σ² enters only the diagonal.
+  void accumulate_param_gradient(std::span<const double>,
+                                 std::span<const double>, double,
+                                 std::span<double>) const override {}
+  /// ∂σ²/∂log σ² = σ².
+  void accumulate_noise_param_gradient(double weight,
+                                       std::span<double> grad) const override {
+    grad[0] += weight * noise_variance_;
+  }
   std::size_t num_params() const override { return 1; }
   std::vector<double> log_params() const override;
   void set_log_params(std::span<const double> values) override;
@@ -163,6 +196,12 @@ class SumKernel : public Kernel {
                                  std::span<const double> x,
                                  std::span<double> out) const override;
   double diagonal_noise() const override;
+  /// Both forward to the components' parameter subspans (left first).
+  void accumulate_param_gradient(std::span<const double> a,
+                                 std::span<const double> b, double weight,
+                                 std::span<double> grad) const override;
+  void accumulate_noise_param_gradient(double weight,
+                                       std::span<double> grad) const override;
   std::size_t num_params() const override;
   std::vector<double> log_params() const override;
   void set_log_params(std::span<const double> values) override;

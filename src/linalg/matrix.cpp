@@ -158,7 +158,15 @@ double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
 
 void axpy(double alpha, std::span<const double> b, std::span<double> a) {
   require(a.size() == b.size(), "axpy: dimension mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += alpha * b[i];
+  std::size_t i = 0;
+#if ROBOTUNE_SIMD_ENABLED
+  // Every lane is an independent output: bit-identical to the scalar loop.
+  const simd::v4d va = simd::broadcast(alpha);
+  for (; i + simd::kLanes <= a.size(); i += simd::kLanes) {
+    simd::store(&a[i], simd::load(&a[i]) + va * simd::load(&b[i]));
+  }
+#endif
+  for (; i < a.size(); ++i) a[i] += alpha * b[i];
 }
 
 namespace {
@@ -400,6 +408,31 @@ double log_det_from_cholesky(const Matrix& l) {
   double sum = 0.0;
   for (std::size_t i = 0; i < l.rows(); ++i) sum += std::log(l(i, i));
   return 2.0 * sum;
+}
+
+Matrix cholesky_inverse(const Matrix& l) {
+  const std::size_t n = l.rows();
+  require(l.cols() == n, "cholesky_inverse: matrix must be square");
+  // X = L⁻¹ by rows: X(i,·) = (e_i − Σ_{k<i} L(i,k)·X(k,·)) / L(i,i), where
+  // row k of X is zero past column k — so each term is a prefix axpy.
+  Matrix x(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto xi = x.row(i);
+    xi[i] = 1.0;
+    for (std::size_t k = 0; k < i; ++k) {
+      axpy(-l(i, k), x.row(k).first(k + 1), xi.first(k + 1));
+    }
+    for (std::size_t j = 0; j <= i; ++j) xi[j] /= l(i, i);
+  }
+  // (XᵀX)(i,j) = Σ_{k≥i} X(k,i)·X(k,j) for j ≤ i: again prefix axpys.
+  Matrix inv(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto out = inv.row(i).first(i + 1);
+    for (std::size_t k = i; k < n; ++k) {
+      axpy(x(k, i), x.row(k).first(i + 1), out);
+    }
+  }
+  return inv;
 }
 
 }  // namespace robotune::linalg

@@ -186,4 +186,9 @@ std::vector<double> cholesky_solve(const Matrix& l, std::span<const double> b);
 /// log(det(A)) = 2 * sum(log(diag(L))) given the Cholesky factor L.
 double log_det_from_cholesky(const Matrix& l);
 
+/// Lower triangle of A⁻¹ = L⁻ᵀL⁻¹ given the Cholesky factor L; the strict
+/// upper triangle is zero.  Both passes skip the known zeros of L⁻¹:
+/// n³/6 multiply-adds each, versus n³/2 for solving against the identity.
+Matrix cholesky_inverse(const Matrix& l);
+
 }  // namespace robotune::linalg

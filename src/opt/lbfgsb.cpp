@@ -286,6 +286,12 @@ LbfgsbResult multistart_minimize(
     best.x = probes.front().x;
     best.value = probes.front().value;
   }
+  // Nothing finite anywhere: report the first start (the caller's warm
+  // start, when it gave one) with its non-finite value — never an empty x.
+  if (best.x.empty() && !starts.empty()) {
+    best.x = starts.front();
+    bounds.clip(best.x);
+  }
   return best;
 }
 

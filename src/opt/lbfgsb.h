@@ -8,9 +8,12 @@
 // direction for that step.  This is the standard projected quasi-Newton
 // scheme and converges to box-constrained stationary points.
 //
-// The caller supplies the objective value and gradient; for acquisition
-// functions without analytic gradients, `numeric_gradient` provides a
-// central-difference fallback.
+// The caller supplies the objective value and its analytic gradient (the
+// GP hyperparameter fit and the acquisition functions both do);
+// `numeric_gradient` is the central-difference baseline the acquisition
+// optimizer keeps for comparison.  An objective may return +∞ (with a
+// zeroed gradient) at an infeasible point: the line search rejects
+// non-finite steps and backs off.
 #pragma once
 
 #include <cstddef>
@@ -79,8 +82,9 @@ struct MultiStartOptions {
 
 /// Multi-start minimization: probes the box at random, runs L-BFGS-B from
 /// the best probes (plus any caller-provided warm starts), and returns the
-/// best local minimum found.  This is how the BO engine maximizes its
-/// acquisition functions over the unit cube.
+/// best local minimum found.  If no probe or descent found a finite value,
+/// the result is the first start (a warm start, when given) with that
+/// non-finite value.  The GP fits its hyperparameters with it.
 LbfgsbResult multistart_minimize(
     const Objective& objective, const Bounds& bounds, Rng& rng,
     const MultiStartOptions& options = {},

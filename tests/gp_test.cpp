@@ -5,12 +5,15 @@
 #include <cmath>
 #include <vector>
 
+#include "common/chaos.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "gp/acquisition.h"
 #include "gp/gaussian_process.h"
 #include "gp/kernel.h"
+#include "obs/metrics.h"
 #include "opt/lbfgsb.h"
 
 namespace robotune::gp {
@@ -187,6 +190,39 @@ TEST(GpTest, HyperparameterFitImprovesMarginalLikelihood) {
             fixed.log_marginal_likelihood() - 1e-6);
 }
 
+TEST(GpTest, HyperfitThatNeverFactorizesKeepsTheWarmStart) {
+  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < 8; ++i) {
+    const double t = i / 7.0;
+    x.push_back({t, 1.0 - t * t});
+    y.push_back(std::sin(4.0 * t));
+  }
+  GaussianProcess gp(default_kernel(0.3, 1.0, 1e-3), GpOptions{}, 3);
+  const std::vector<double> before = gp.kernel().log_params();
+  chaos::ChaosProfile every_cholesky_fails;
+  every_cholesky_fails.cholesky_failure = 1.0;
+  chaos::injector().configure(every_cholesky_fails, 1);
+  obs::metrics().reset();
+  // Every LML evaluation is +∞, so the search ends on the warm start and
+  // the fit fails the way a plain factorization does (NumericalError),
+  // not on an empty parameter vector.
+  EXPECT_THROW(gp.fit(x, y), NumericalError);
+  chaos::injector().disarm();
+  const std::vector<double> after = gp.kernel().log_params();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_NEAR(after[i], before[i], 1e-12) << i;
+  }
+  if (obs::kCompiledIn) {
+    const auto counters = obs::metrics().snapshot().counters;
+    EXPECT_GT(counters.at("gp.hyperfit.lml_evals"), 0u);
+    EXPECT_EQ(counters.at("gp.hyperfit.lml_failures"),
+              counters.at("gp.hyperfit.lml_evals"));
+  }
+}
+
 TEST(GpTest, ScaleInvariantThroughStandardization) {
   std::vector<std::vector<double>> x = {{0.1}, {0.5}, {0.9}};
   std::vector<double> y = {100.0, 300.0, 200.0};
@@ -356,6 +392,161 @@ TEST(KernelGradientTest, SumKernelForwardsToComponents) {
   EXPECT_DOUBLE_EQ(sum_grad[0], matern_grad[0]);
   EXPECT_DOUBLE_EQ(sum_grad[1], matern_grad[1]);
 }
+
+// ∂k(a,b)/∂logθ by central differences of operator() on a clone.
+std::vector<double> numeric_param_grad(const Kernel& kernel,
+                                       std::span<const double> a,
+                                       std::span<const double> b) {
+  const auto probe = kernel.clone();
+  return numeric_grad(
+      [&](std::span<const double> log_params) {
+        probe->set_log_params(log_params);
+        return (*probe)(a, b);
+      },
+      kernel.log_params(), 1e-5);
+}
+
+void expect_param_gradient_matches(const Kernel& kernel) {
+  const std::vector<double> a = {0.1, 0.7, 0.4};
+  const std::vector<double> b = {0.5, 0.2, 0.9};
+  for (const auto& [p, q] : {std::pair{a, b}, std::pair{a, a}}) {
+    // A non-unit weight pins the scaling, a non-zero start the accumulate.
+    std::vector<double> grad(kernel.num_params(), 1.0);
+    kernel.accumulate_param_gradient(p, q, 2.5, grad);
+    const auto reference = numeric_param_grad(kernel, p, q);
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      EXPECT_NEAR(grad[i], 1.0 + 2.5 * reference[i], 1e-5) << i;
+    }
+  }
+}
+
+TEST(KernelGradientTest, Matern52ParamGradientMatchesNumeric) {
+  expect_param_gradient_matches(Matern52(0.35, 1.7));
+}
+
+TEST(KernelGradientTest, Matern52ArdParamGradientMatchesNumeric) {
+  Matern52Ard k(3);
+  k.set_log_params(std::vector<double>{std::log(0.2), std::log(0.9),
+                                       std::log(3.0), std::log(2.0)});
+  expect_param_gradient_matches(k);
+}
+
+TEST(KernelGradientTest, SumKernelParamGradientForwardsToSubspans) {
+  // Both orders: the white-noise entry has no pair term, and the noise
+  // hook lands on the white-noise entry wherever it sits.
+  const auto left = ard_kernel(3, 0.4, 1.3, 2e-2);
+  const SumKernel right(std::make_unique<WhiteNoise>(2e-2),
+                        std::make_unique<Matern52Ard>(3, 0.4, 1.3));
+  expect_param_gradient_matches(*left);
+  expect_param_gradient_matches(right);
+  for (const Kernel* k : std::vector<const Kernel*>{left.get(), &right}) {
+    std::vector<double> grad(k->num_params(), 0.0);
+    k->accumulate_noise_param_gradient(3.0, grad);
+    const auto probe = k->clone();
+    const auto reference = numeric_grad(
+        [&](std::span<const double> log_params) {
+          probe->set_log_params(log_params);
+          return probe->diagonal_noise();
+        },
+        k->log_params(), 1e-5);
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+      EXPECT_NEAR(grad[i], 3.0 * reference[i], 1e-9) << i;
+    }
+  }
+}
+
+// --------------------------------- marginal-likelihood gradient -----------
+
+enum class LmlKernel { kIsoWhite, kArdWhite, kWhiteArd };
+
+struct LmlCase {
+  LmlKernel shape;
+  int n;
+  bool noise_at_floor;  ///< noise at the hyperfit search box's lower edge
+};
+
+class LmlGradientTest : public ::testing::TestWithParam<LmlCase> {};
+
+TEST_P(LmlGradientTest, MatchesCentralDifferences) {
+  const LmlCase c = GetParam();
+  constexpr std::size_t kDims = 4;
+  Rng rng(23 + static_cast<std::uint64_t>(c.n));
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i < c.n; ++i) {
+    std::vector<double> p(kDims);
+    for (double& v : p) v = rng.uniform();
+    y.push_back(std::sin(4.0 * p[0]) + p[1] * p[2] - 0.5 * p[3] +
+                rng.normal(0, 0.05));
+    x.push_back(std::move(p));
+  }
+  // The default noise 1e-3 less the default search radius (4 in log
+  // space) is the smallest noise the hyperparameter fit can try.
+  const double noise = c.noise_at_floor
+                           ? std::exp(std::log(1e-3) - GpOptions{}.log_search_radius)
+                           : 2e-2;
+  std::unique_ptr<Kernel> kernel;
+  switch (c.shape) {
+    case LmlKernel::kIsoWhite:
+      kernel = default_kernel(0.45, 1.3, noise);
+      break;
+    case LmlKernel::kArdWhite:
+    case LmlKernel::kWhiteArd: {
+      auto ard = std::make_unique<Matern52Ard>(kDims);
+      ard->set_log_params(std::vector<double>{std::log(0.3), std::log(0.6),
+                                              std::log(1.2), std::log(0.8),
+                                              std::log(1.3)});
+      auto white = std::make_unique<WhiteNoise>(noise);
+      kernel = c.shape == LmlKernel::kArdWhite
+                   ? std::make_unique<SumKernel>(std::move(ard),
+                                                 std::move(white))
+                   : std::make_unique<SumKernel>(std::move(white),
+                                                 std::move(ard));
+      break;
+    }
+  }
+  const auto lml_at = [&](std::span<const double> log_params) {
+    auto k = kernel->clone();
+    k->set_log_params(log_params);
+    GaussianProcess gp(std::move(k), GpOptions{false});
+    gp.fit(x, y);
+    return gp.log_marginal_likelihood();
+  };
+  GaussianProcess gp(kernel->clone(), GpOptions{false});
+  gp.fit(x, y);
+  const auto analytic = gp.log_marginal_likelihood_gradient();
+  const auto reference = numeric_grad(lml_at, kernel->log_params(), 1e-5);
+  ASSERT_EQ(analytic.size(), kernel->num_params());
+  for (std::size_t i = 0; i < analytic.size(); ++i) {
+    EXPECT_NEAR(analytic[i], reference[i],
+                1e-5 * std::max(1.0, std::abs(reference[i])))
+        << "param " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelsSizesNoise, LmlGradientTest,
+    ::testing::ValuesIn([] {
+      std::vector<LmlCase> cases;
+      for (const LmlKernel shape : {LmlKernel::kIsoWhite, LmlKernel::kArdWhite,
+                                    LmlKernel::kWhiteArd}) {
+        for (const int n : {10, 60}) {
+          for (const bool floor : {false, true}) {
+            cases.push_back({shape, n, floor});
+          }
+        }
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<LmlCase>& info) {
+      const char* shape = info.param.shape == LmlKernel::kIsoWhite
+                              ? "IsoWhite"
+                              : info.param.shape == LmlKernel::kArdWhite
+                                    ? "ArdWhite"
+                                    : "WhiteArd";
+      return std::string(shape) + "_n" + std::to_string(info.param.n) +
+             (info.param.noise_at_floor ? "_NoiseFloor" : "");
+    });
 
 TEST(PredictGradientTest, MeanAndVarianceGradientsMatchNumeric) {
   const GaussianProcess gp = fitted_gp_2d();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -118,6 +119,46 @@ TEST(VectorOpsTest, AxpyAccumulates) {
   EXPECT_DOUBLE_EQ(a[0], 3.0);
   EXPECT_DOUBLE_EQ(a[1], 5.0);
   EXPECT_DOUBLE_EQ(a[2], 7.0);
+}
+
+TEST(VectorOpsTest, AxpyBitIdenticalToScalarLoopAtEveryLength) {
+  // Lengths around the 4-lane block cover the vector body and every tail.
+  Rng rng(3);
+  for (std::size_t len = 0; len <= 11; ++len) {
+    std::vector<double> a(len), b(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      a[i] = rng.uniform(-1, 1);
+      b[i] = rng.uniform(-1, 1);
+    }
+    std::vector<double> expected = a;
+    for (std::size_t i = 0; i < len; ++i) expected[i] += 0.37 * b[i];
+    axpy(0.37, b, a);
+    EXPECT_EQ(a, expected) << len;
+  }
+}
+
+TEST(CholeskyInverseTest, LowerTriangleInvertsTheMatrix) {
+  Rng rng(11);
+  for (const std::size_t n : {1u, 2u, 5u, 37u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const Matrix a = random_spd(n, rng);
+    const Matrix inv = cholesky_inverse(cholesky(a));
+    Matrix full(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j > i) {
+          EXPECT_EQ(inv(i, j), 0.0);
+        }
+        full(i, j) = j <= i ? inv(i, j) : inv(j, i);
+      }
+    }
+    const Matrix product = a * full;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_NEAR(product(i, j), i == j ? 1.0 : 0.0, 1e-10);
+      }
+    }
+  }
 }
 
 TEST(CholeskyTest, FactorReproducesMatrix) {

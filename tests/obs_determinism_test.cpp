@@ -187,6 +187,29 @@ TEST_F(ObsDeterminismTest, LogicalMetricsIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST_F(ObsDeterminismTest, HyperfitCountersIdenticalAcrossWorkerCounts) {
+  // gp.hyperfit.lml_evals / lml_failures count the marginal-likelihood
+  // objective's factorizations and failed ones, so a refit's cost reads
+  // from `metrics` without --trace — and, being logical, identically at
+  // any worker count.
+  std::vector<obs::MetricsSnapshot> logical;
+  for (const int parallelism : {1, 4}) {
+    obs::metrics().reset();
+    run_session(parallelism, /*with_faults=*/true);
+    logical.push_back(obs::metrics().snapshot().logical());
+  }
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_OBS=OFF";
+  const auto count = [](const obs::MetricsSnapshot& s, const char* name) {
+    const auto it = s.counters.find(name);
+    return it == s.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_GT(count(logical[0], "gp.hyperfit.lml_evals"), 0u);
+  for (const char* name :
+       {"gp.hyperfit.lml_evals", "gp.hyperfit.lml_failures"}) {
+    EXPECT_EQ(count(logical[0], name), count(logical[1], name)) << name;
+  }
+}
+
 // ----------------------- acquisition multi-start vs worker count ---------
 
 TEST_F(ObsDeterminismTest, AcquisitionMultiStartInvariantAcrossWorkerCounts) {

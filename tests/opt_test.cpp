@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -163,6 +164,67 @@ TEST(MultistartTest, NeverWorseThanBestProbe) {
   options.probe_candidates = 200;
   const auto r = multistart_minimize(obj, Bounds::unit_cube(1), rng, options);
   EXPECT_LE(r.value, 3.0 + 1e-9);
+}
+
+// +∞ with a zeroed gradient marks an infeasible point (how the GP's
+// marginal-likelihood objective reports a failed factorization).
+Objective infinite_left_of(double edge, std::vector<double> center) {
+  const Objective inner = quadratic(std::move(center));
+  return [inner, edge](std::span<const double> x, std::span<double> grad) {
+    if (x[0] < edge) {
+      std::fill(grad.begin(), grad.end(), 0.0);
+      return std::numeric_limits<double>::infinity();
+    }
+    return inner(x, grad);
+  };
+}
+
+TEST(MultistartTest, BacksOffFromAnInfiniteHalfOfTheBox) {
+  // The minimum sits 0.05 inside the feasible half; the warm start sits in
+  // the infeasible half, and full quasi-Newton steps from the feasible
+  // starts overshoot into it.
+  const auto obj = infinite_left_of(0.5, {0.55, 0.3});
+  Rng rng(9);
+  MultiStartOptions options;
+  options.starts = 3;
+  options.probe_candidates = 16;
+  const std::vector<std::vector<double>> warm = {{0.1, 0.9}};
+  const auto r =
+      multistart_minimize(obj, Bounds::unit_cube(2), rng, options, warm);
+  ASSERT_TRUE(std::isfinite(r.value));
+  EXPECT_NEAR(r.x[0], 0.55, 1e-4);
+  EXPECT_NEAR(r.x[1], 0.3, 1e-4);
+
+  // A single descent that starts feasible stays feasible.
+  const auto local = minimize(obj, std::vector<double>{0.95, 0.95},
+                              Bounds::unit_cube(2));
+  ASSERT_TRUE(std::isfinite(local.value));
+  EXPECT_GE(local.x[0], 0.5);
+  EXPECT_NEAR(local.x[0], 0.55, 1e-4);
+}
+
+TEST(MultistartTest, InfiniteEverywhereReturnsTheWarmStart) {
+  const auto obj = infinite_left_of(2.0, {0.5, 0.5});  // the whole box
+  Rng rng(10);
+  MultiStartOptions options;
+  options.starts = 3;
+  options.probe_candidates = 16;
+  const std::vector<std::vector<double>> warm = {{0.25, 0.75}};
+  const auto r =
+      multistart_minimize(obj, Bounds::unit_cube(2), rng, options, warm);
+  EXPECT_FALSE(std::isfinite(r.value));
+  EXPECT_EQ(r.x, warm.front());
+
+  // Without a warm start the first probe start is reported — still a
+  // point in the box, never an empty x.
+  const auto cold = multistart_minimize(obj, Bounds::unit_cube(2), rng,
+                                        options);
+  EXPECT_FALSE(std::isfinite(cold.value));
+  ASSERT_EQ(cold.x.size(), 2u);
+  for (const double v : cold.x) {
+    EXPECT_GE(v, 0.0);
+    EXPECT_LE(v, 1.0);
+  }
 }
 
 TEST(MultistartTest, EmptyBoundsThrow) {
