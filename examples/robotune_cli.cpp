@@ -75,17 +75,15 @@ struct CliOptions {
   /// Internal chaos injection profile (preset or per-site rates).
   std::string chaos_profile = "none";
   bool quiet = false;
-  /// Evaluation workers: 0 = no scheduler (legacy sequential seed
-  /// streams); N >= 1 = scheduler mode with N workers (0-cost to results:
-  /// any N gives bit-identical output, including N = 1).
+  /// Evaluation workers; 0 (the default) and 1 both evaluate inline on
+  /// one worker.  Any value gives bit-identical output.
   int parallel = 0;
   /// BO batch width q (robotune only; changes the trajectory).
   int batch = 1;
-  /// Racing early-stop policy for in-flight evaluations (scheduler mode
-  /// only): off | median | halving.
+  /// Racing early-stop policy for in-flight evaluations: off | median |
+  /// halving.
   std::string racing = "off";
-  /// Per-evaluation simulated-time deadline in seconds (scheduler mode
-  /// only; 0 = off).
+  /// Per-evaluation simulated-time deadline in seconds (0 = off).
   double eval_deadline = 0.0;
   /// Spot-instance preemption probability per stage (0 = off).
   double preempt_rate = 0.0;
@@ -156,17 +154,15 @@ void usage(const char* argv0) {
       "                              none|surrogate|flaky|full, or\n"
       "                              cholesky=F,acq=F,journal=F,pool=F\n"
       "  --parallel N                evaluate batches on N workers; results\n"
-      "                              are bit-identical for any N >= 1\n"
-      "                              (default 0 = legacy sequential mode)\n"
+      "                              are bit-identical for any N (default\n"
+      "                              0, like 1: inline on one worker)\n"
       "  --batch q                   BO proposals per round via constant-\n"
       "                              liar fantasies (robotune; default 1)\n"
       "  --racing off|median|halving kill in-flight evaluations whose\n"
       "                              partial time already dominates the\n"
-      "                              batch guard threshold (needs\n"
-      "                              --parallel >= 1; default off)\n"
+      "                              batch guard threshold (default off)\n"
       "  --eval-deadline S           per-evaluation simulated-time deadline\n"
-      "                              in seconds (needs --parallel >= 1;\n"
-      "                              default 0 = off)\n"
+      "                              in seconds (default 0 = off)\n"
       "  --preempt-rate F            spot-instance preemption probability\n"
       "                              per stage (default 0 = off)\n"
       "  --init N                    BO initial-design size override\n"

@@ -106,9 +106,10 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
   const bool external_mode =
       external != nullptr ||
       (session != nullptr && session->state.external);
-  // External evaluations consume no objective seed draws, so ask/tell
-  // sessions always journal (and replay) under indexed seeding.
-  const bool indexed = scheduler != nullptr || external_mode;
+  // Without an attached scheduler, rounds run on an inline one-worker
+  // scheduler: the same index-derived seed streams, and no thread.
+  exec::EvalScheduler inline_scheduler;
+  if (scheduler == nullptr) scheduler = &inline_scheduler;
   obs::set_gauge("bo.selected_dims", static_cast<double>(dims));
 
   tuners::GuardPolicy guard(options_.static_threshold_s,
@@ -116,12 +117,9 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
 
   // Checkpoint/resume: journaled evaluations are replayed instead of
   // re-run — same bookkeeping (guard, incumbent, cost) via
-  // append_evaluation.  In detached mode the objective's sequential seed
-  // stream is fast-forwarded by the attempts each record consumed; in
-  // scheduler mode there is nothing to fast-forward (streams are derived
-  // from the eval index), so replay just skips the index.  Either way the
-  // live continuation after the journal is bit-identical to an
-  // uninterrupted session.
+  // append_evaluation.  Seed streams are derived from the eval index, so
+  // replay just skips the index and the live continuation after the
+  // journal is bit-identical to an uninterrupted session.
   std::size_t replay_pos = 0;
   std::size_t journaled = 0;
   if (session != nullptr) {
@@ -136,25 +134,19 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
     // (canonicalize_journal already pruned any past the valid prefix).
     session->state.degrade_events.clear();
     journaled = session->state.evaluations.size();
-    const std::string racing_sig =
-        scheduler != nullptr ? exec::racing_signature(scheduler->racing())
-                             : std::string("off");
+    const std::string racing_sig = exec::racing_signature(scheduler->racing());
     if (journaled > 0 || !session->state.suggests.empty()) {
       // Mode is pinned the moment anything was journaled: an internal
-      // checkpoint must not resume in ask/tell mode (its evaluations
-      // consumed the sequential seed stream) and vice versa.
+      // checkpoint must not resume in ask/tell mode (its evaluations came
+      // from the simulator) and vice versa.
       require(!(external != nullptr && !session->state.external),
               "BoEngine: checkpoint was journaled by an internal-mode "
               "session; it cannot resume in ask/tell (external) mode");
     }
     if (journaled > 0) {
-      require(session->state.indexed_seeding == indexed,
-              "BoEngine: checkpoint was journaled under a different "
-              "evaluation-seeding mode; resume with the scheduler "
-              "configuration (--parallel) that produced it");
-      // Same precedent as the seeding mode: a journal produced under one
-      // racing policy replays evaluations another policy would have
-      // killed differently — refuse the cross-mode resume.
+      // A journal produced under one racing policy replays evaluations
+      // another policy would have killed differently — refuse the
+      // cross-mode resume.
       const std::string journaled_sig = session->state.racing_mode.empty()
                                             ? "off"
                                             : session->state.racing_mode;
@@ -163,7 +155,6 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
               "racing configuration; resume with the racing setup "
               "(--racing/--eval-deadline) that produced it");
     } else {
-      session->state.indexed_seeding = indexed;
       session->state.racing_mode = racing_sig == "off" ? "" : racing_sig;
     }
     // Never cleared once set: a restored external flag survives even
@@ -215,8 +206,7 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
   // like a guard stop, failures carry the same penalty/censoring split
   // as sparksim's objective, and non-finite values fall through to
   // append_evaluation's quarantine.  External executors report one
-  // measurement per suggestion, so attempts is always 1 (no seed draws
-  // to fast-forward on resume).
+  // measurement per suggestion, so attempts is always 1.
   const auto funnel_external = [](const std::vector<double>& unit,
                                   const ExternalObservation& o,
                                   double threshold) {
@@ -255,8 +245,8 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
 
   // Evaluates one round of full-space points under the current guard:
   // the journaled prefix is replayed, the live remainder runs as one
-  // scheduler batch (or inline, detached).  Bookkeeping happens in
-  // canonical order; the returned evaluations are in point order.
+  // scheduler batch.  Bookkeeping happens in canonical order; the
+  // returned evaluations are in point order.
   // Ask/tell mode publishes the remainder through the bridge instead
   // and blocks for the external observations; a cancel mid-round
   // returns the partial replay prefix with result.interrupted set —
@@ -276,10 +266,6 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
               "BoEngine: journal is not in canonical order");
       ++replay_pos;
       obs::count("bo.journal_replayed");
-      if (!indexed) {
-        objective.skip_seed_draws(
-            static_cast<std::uint64_t>(std::max(1, rec.attempts)));
-      }
       tuners::Evaluation e;
       e.unit = rec.unit;
       e.value_s = rec.value_s;
@@ -326,9 +312,9 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
             funnel_external(points[i], reported[i - live_begin], threshold);
         tuners::append_evaluation(e, guard, result.tuning);
         if (session != nullptr) {
-          // Journal post-funnel (quarantine included), like the
-          // detached path: replay feeds the record straight back
-          // through append_evaluation and lands identical state.
+          // Journal post-funnel (quarantine included): replay feeds the
+          // record straight back through append_evaluation and lands
+          // identical state.
           session->state.evaluations.push_back(
               record_of(result.tuning.history.back(),
                         result.tuning.history.size() - 1));
@@ -358,65 +344,38 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
       return evals;
     }
 
-    if (scheduler != nullptr) {
-      const std::uint64_t first_index = result.tuning.history.size();
-      std::vector<exec::EvalRequest> requests;
-      requests.reserve(points.size() - live_begin);
-      for (std::size_t i = live_begin; i < points.size(); ++i) {
-        requests.push_back({points[i], threshold});
-      }
-      // Journal completions as they happen — possibly out of index
-      // order; canonicalize_journal restores replay order on resume.
-      const auto outcomes = scheduler->run_batch(
-          objective, requests, first_index,
-          [&](const exec::CompletedEval& done) {
-            if (session == nullptr) return;
-            session->state.evaluations.push_back(record_of(
-                tuners::to_evaluation(done.request->unit, *done.outcome),
-                done.eval_index));
-            if (done.outcome->status == sparksim::RunStatus::kKilled) {
-              session->state.kill_events.push_back(
-                  KillEvent{done.eval_index, done.outcome->kill_reason});
-            }
-            if (session->flush) {
-              // Journal flushes run in completion order on whichever
-              // thread finished the evaluation — span attribution shows
-              // checkpoint-write stalls per worker.
-              obs::Span span("journal", "bo");
-              span.arg("eval_index", done.eval_index);
-              session->flush(session->state);
-            }
-          });
-      for (std::size_t i = live_begin; i < points.size(); ++i) {
-        evals.push_back(
-            tuners::to_evaluation(points[i], outcomes[i - live_begin]));
-        tuners::append_evaluation(evals.back(), guard, result.tuning);
-      }
-    } else {
-      for (std::size_t i = live_begin; i < points.size(); ++i) {
-        tuners::Evaluation e;
-        {
-          obs::Span span("eval", "bo");
-          span.arg("eval_index",
-                   static_cast<std::uint64_t>(result.tuning.history.size()));
-          e = tuners::evaluate_into(objective, points[i], guard,
-                                    result.tuning);
-          span.arg("status", sparksim::to_string(e.status));
-          span.arg("value_s", e.value_s);
-        }
-        if (session != nullptr) {
-          session->state.evaluations.push_back(
-              record_of(e, result.tuning.history.size() - 1));
+    const std::uint64_t first_index = result.tuning.history.size();
+    std::vector<exec::EvalRequest> requests;
+    requests.reserve(points.size() - live_begin);
+    for (std::size_t i = live_begin; i < points.size(); ++i) {
+      requests.push_back({points[i], threshold});
+    }
+    // Journal completions as they happen — possibly out of index
+    // order; canonicalize_journal restores replay order on resume.
+    const auto outcomes = scheduler->run_batch(
+        objective, requests, first_index,
+        [&](const exec::CompletedEval& done) {
+          if (session == nullptr) return;
+          session->state.evaluations.push_back(record_of(
+              tuners::to_evaluation(done.request->unit, *done.outcome),
+              done.eval_index));
+          if (done.outcome->status == sparksim::RunStatus::kKilled) {
+            session->state.kill_events.push_back(
+                KillEvent{done.eval_index, done.outcome->kill_reason});
+          }
           if (session->flush) {
+            // Journal flushes run in completion order on whichever
+            // thread finished the evaluation — span attribution shows
+            // checkpoint-write stalls per worker.
             obs::Span span("journal", "bo");
-            span.arg("eval_index",
-                     static_cast<std::uint64_t>(
-                         result.tuning.history.size() - 1));
+            span.arg("eval_index", done.eval_index);
             session->flush(session->state);
           }
-        }
-        evals.push_back(e);
-      }
+        });
+    for (std::size_t i = live_begin; i < points.size(); ++i) {
+      evals.push_back(
+          tuners::to_evaluation(points[i], outcomes[i - live_begin]));
+      tuners::append_evaluation(evals.back(), guard, result.tuning);
     }
     return evals;
   };

@@ -95,9 +95,9 @@ struct BoOptions {
   /// via constant-liar fantasies (CL-min: every pending point pretends to
   /// have returned the best observation so far, pushing later proposals
   /// away from it) and evaluates them as one group — concurrently when a
-  /// scheduler is attached.  q = 1 reproduces the sequential Algorithm 1
-  /// exactly.  The trajectory depends on q, never on how many workers
-  /// evaluate the batch.
+  /// multi-worker scheduler is attached.  q = 1 reproduces the sequential
+  /// Algorithm 1 exactly.  The trajectory depends on q, never on how many
+  /// workers evaluate the batch.
   int batch_size = 1;
   /// GP-Hedge portfolio configuration.
   gp::GpHedge::Options hedge;
@@ -137,18 +137,17 @@ using BoObserver = std::function<void(const BoObserverInfo&)>;
 ///
 /// On resume, pass the loaded checkpoint back in: the engine re-runs all
 /// of its (deterministic) modeling math but substitutes journaled
-/// outcomes for the first `state.evaluations.size()` cluster runs —
-/// fast-forwarding the objective's sequential seed stream by each
-/// record's attempt count (detached mode) or simply skipping the eval
-/// index (scheduler mode, where streams are index-derived).  Once the
-/// journal is exhausted the session continues live, bit-identical to a
-/// never-interrupted run.
+/// outcomes for the first `state.evaluations.size()` cluster runs,
+/// skipping their eval indices (every evaluation's seed stream is
+/// derived from its index, so nothing else needs fast-forwarding).  Once
+/// the journal is exhausted the session continues live, bit-identical to
+/// a never-interrupted run.
 ///
 /// Parallel sessions journal evaluations in *completion* order; the
 /// engine canonicalizes the journal (sort by eval index, truncate at the
 /// first gap) before replaying, so a crash mid-batch loses only the
 /// evaluations that had not finished plus any stranded past a hole.  A
-/// checkpoint resumes only under the seeding mode that produced it.
+/// checkpoint resumes only under the racing policy that produced it.
 struct SessionLog {
   SessionCheckpoint state;
   std::function<void(const SessionCheckpoint&)> flush;
@@ -175,20 +174,19 @@ class BoEngine {
   /// Runs Algorithm 1 (batched when options.batch_size > 1).  `memoized`
   /// seeds the initial set (pass {} for an unseen workload).  `session`,
   /// when given, journals every completed evaluation and replays a
-  /// previously journaled prefix (see SessionLog).  `scheduler`, when
-  /// given, dispatches every evaluation batch through it with per-eval
-  /// index-derived seed streams: results are then bit-identical for any
-  /// scheduler parallelism (but differ from detached-mode runs, whose
-  /// evaluations consume the objective's sequential stream).
+  /// previously journaled prefix (see SessionLog).  Every evaluation
+  /// batch runs through `scheduler` — or, when it is null, through an
+  /// inline one-worker scheduler — with per-eval index-derived seed
+  /// streams, so results are bit-identical for any scheduler
+  /// parallelism.
   ///
   /// `external`, when given, turns the engine into ask/tell mode
   /// (DESIGN.md §16): each round's batch is published through the
   /// bridge instead of evaluated, and the engine blocks until an
   /// external executor reports every observation back.  Mutually
-  /// exclusive with `scheduler`.  External evaluations consume no
-  /// objective seed draws, so external sessions always journal indexed
-  /// seeding; an external-mode checkpoint replays standalone (no
-  /// bridge) but refuses to run live evaluations without one.
+  /// exclusive with `scheduler`.  An external-mode checkpoint replays
+  /// standalone (no bridge) but refuses to run live evaluations without
+  /// one.
   BoResult run(sparksim::SparkObjective& objective,
                const std::vector<MemoizedConfig>& memoized = {},
                const BoObserver& observer = nullptr,

@@ -1,16 +1,13 @@
 #include "core/persistence.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string_view>
 
+#include "common/atomic_file.h"
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/framed_line.h"
@@ -87,7 +84,11 @@ class RecordParser {
 // Parses one session record payload into `session`.  Every field is
 // parsed before anything is stored, so a record that throws leaves
 // `session` untouched (recover mode keeps the prefix before it as is).
-void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
+// A `seeding sequential` record is accepted here and flagged in
+// `sequential_seeding`; load_session refuses the journal after the walk,
+// so recover mode cannot mistake it for a torn tail and resume it.
+void parse_session_record(RecordParser& p, SessionCheckpoint& session,
+                          bool& sequential_seeding) {
   const std::string_view kind = p.token("record kind");
   if (kind == "meta") {
     const std::uint64_t seed = p.u64("seed");
@@ -103,7 +104,7 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
       p.fail("malformed seeding mode: '" + std::string(mode) + "'");
     }
     p.done("seeding");
-    session.indexed_seeding = mode == "indexed";
+    if (mode == "sequential") sequential_seeding = true;
   } else if (kind == "selected") {
     std::vector<std::size_t> selected(p.u64("selected count"));
     for (auto& idx : selected) {
@@ -208,23 +209,6 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session) {
   } else {
     p.fail("unknown record kind: '" + std::string(kind) + "'");
   }
-}
-
-bool fsync_file(const char* path) {
-  const int fd = ::open(path, O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
-// fsyncs the directory containing `path` so the rename itself is durable.
-bool fsync_parent(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  return fsync_file(dir.c_str());
 }
 
 }  // namespace
@@ -334,10 +318,9 @@ std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
 bool save_state_file(const ParameterSelectionCache& selection,
                      const ConfigMemoizationBuffer& memo,
                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  save_state(selection, memo, out);
-  return static_cast<bool>(out);
+  return write_file_atomically(path, [&](std::ostream& out) {
+    save_state(selection, memo, out);
+  });
 }
 
 bool load_state_file(const std::string& path,
@@ -365,7 +348,7 @@ std::size_t save_session(const SessionCheckpoint& session,
   p << "meta " << session.seed << " " << session.budget << " "
     << session.workload;
   emit();
-  p << "seeding " << (session.indexed_seeding ? "indexed" : "sequential");
+  p << "seeding indexed";
   emit();
   // Only racing-active sessions carry the record: racing-off journals
   // stay byte-identical to those of releases without the racing layer.
@@ -435,18 +418,26 @@ std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          const std::string& source) {
   session = SessionCheckpoint{};
   const std::string text(std::istreambuf_iterator<char>(in), {});
+  bool sequential_seeding = false;
   const FramedWalk walk = walk_framed_lines(
       text, kSessionHeader, mode, "load_session: " + source,
-      [&session](std::string_view payload, std::string& why) {
+      [&](std::string_view payload, std::string& why) {
         try {
           RecordParser parser(payload);
-          parse_session_record(parser, session);
+          parse_session_record(parser, session, sequential_seeding);
           return true;
         } catch (const InvalidArgument& e) {
           why = e.what();
           return false;
         }
       });
+  if (sequential_seeding) {
+    throw InvalidArgument(
+        "load_session: " + source +
+        ": journal was written under the removed sequential "
+        "evaluation-seeding mode (detached sessions of earlier releases); "
+        "it cannot be resumed — start the session afresh");
+  }
   if (report != nullptr) {
     report->evaluations = session.evaluations.size();
     report->dropped_records = walk.dropped;
@@ -461,20 +452,9 @@ bool save_session_file(const SessionCheckpoint& session,
   // Chaos site: a simulated I/O error leaves the previous checkpoint (if
   // any) untouched, exactly like a failed open would.
   if (chaos::fail(chaos::Site::kJournalWrite)) return false;
-  // Write-then-rename so a crash mid-write never corrupts an existing
-  // checkpoint: resume either sees the old journal or the new one.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    save_session(session, out);
-    out.flush();
-    if (!out) return false;
-  }
-  if (sync == SyncPolicy::kFsync && !fsync_file(tmp.c_str())) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  if (sync == SyncPolicy::kFsync && !fsync_parent(path)) return false;
-  return true;
+  // Resume sees either the old journal or the new one, never a torn mix.
+  return write_file_atomically(
+      path, [&](std::ostream& out) { save_session(session, out); }, sync);
 }
 
 bool load_session_file(const std::string& path, SessionCheckpoint& session,

@@ -27,7 +27,7 @@
 // where the CRC covers exactly the payload bytes.  Payloads are the
 // familiar line records:
 //   meta <seed> <budget> <workload>
-//   seeding sequential|indexed
+//   seeding indexed
 //   selected <n> <idx...>
 //   selection-draws <n>
 //   selection-cost <seconds>
@@ -41,6 +41,13 @@
 //   suggest <index> <lease> <dim> <unit...>
 //   observe_ack <index> <status> <value_s> <cost_s>
 //   lease_expired <index> <lease>
+//
+// `seeding indexed` says every evaluation ran on a seed stream derived
+// from (seed, eval index); it is the only mode left.  A journal that says
+// `seeding sequential` was written by the removed detached mode of
+// earlier releases, whose evaluations drew from the objective's
+// sequential stream; it cannot be continued identically, so the loader
+// refuses it in strict and in recover mode alike.
 //
 // `racing` (emitted only when a racing policy was active — racing-off
 // journals stay byte-identical to pre-racing releases) pins the racing
@@ -80,6 +87,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/framed_line.h"
 #include "core/memoization.h"
 #include "sparksim/engine.h"
@@ -98,9 +106,7 @@ struct EvalRecord {
   sparksim::RunStatus status = sparksim::RunStatus::kOk;
   bool stopped_early = false;
   bool transient = false;
-  /// Simulator attempts (= objective seed draws) the evaluation consumed;
-  /// sequential-seeding resume fast-forwards the seed stream by this much
-  /// per record (indexed-seeding sessions skip indices instead).
+  /// Simulator attempts (1 + transient retries) the evaluation consumed.
   int attempts = 1;
 };
 
@@ -169,19 +175,13 @@ struct SessionCheckpoint {
   std::string workload;           ///< cache key (workload kind)
   std::vector<std::size_t> selected;  ///< tuned parameter indices
   /// Objective seed draws consumed by parameter selection before the BO
-  /// session started (0 on a selection-cache hit).
+  /// session started (0 on a selection-cache hit).  Journaled for the
+  /// record only: resume reads nothing from the sequential stream.
   std::uint64_t selection_seed_draws = 0;
   double selection_cost_s = 0.0;
   /// Memoized configurations blended into the initial design; recorded so
   /// the resumed engine regenerates the same initial sample plan.
   std::vector<MemoizedConfig> memoized;
-  /// Evaluation seed-stream mode of the session.  false: evaluations
-  /// consumed the objective's sequential stream (detached mode); true:
-  /// each evaluation's stream was derived from (seed, eval_index)
-  /// (scheduler mode, any --parallel value).  A checkpoint only resumes
-  /// under the same mode — the continuation would silently diverge
-  /// otherwise.
-  bool indexed_seeding = false;
   /// Racing signature the session ran under (exec::racing_signature).
   /// Empty means racing off; the `racing` record is only emitted when
   /// non-empty and not "off", so racing-off journals are byte-identical
@@ -189,9 +189,7 @@ struct SessionCheckpoint {
   std::string racing_mode;
   /// True for ask/tell (`mode=external`) sessions: evaluations arrive
   /// from an external executor via suggest/observe instead of the
-  /// simulator.  External sessions always use indexed seeding (external
-  /// evaluations consume no objective seed draws).  A checkpoint only
-  /// resumes under the same mode.
+  /// simulator.  A checkpoint only resumes under the same mode.
   bool external = false;
   std::vector<EvalRecord> evaluations;  ///< completed-evaluation journal
   /// Pending (proposed, not yet resolved) suggestions of an external
@@ -230,6 +228,8 @@ std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
 
 /// Convenience file wrappers.  Return false when the file cannot be
 /// opened (a missing state file is not an error for a fresh install).
+/// Save replaces the file atomically (write then rename), so a failed
+/// or interrupted save leaves the previous state file intact.
 bool save_state_file(const ParameterSelectionCache& selection,
                      const ConfigMemoizationBuffer& memo,
                      const std::string& path);
@@ -240,11 +240,8 @@ bool load_state_file(const std::string& path,
 /// How load_session treats a torn or corrupt journal.
 using robotune::LoadMode;
 
-/// Durability of save_session_file.
-enum class SyncPolicy {
-  kNone,   ///< rely on the OS page cache (default; write-then-rename only)
-  kFsync,  ///< fsync the checkpoint and its directory before returning
-};
+/// Durability of save_session_file (common/atomic_file.h).
+using robotune::SyncPolicy;
 
 /// What a load actually did — populated by the LoadMode overloads.
 struct SessionLoadReport {
@@ -259,13 +256,15 @@ struct SessionLoadReport {
 std::size_t save_session(const SessionCheckpoint& session, std::ostream& out);
 
 /// Restores a checkpoint written by save_session.  Strict mode: throws
-/// InvalidArgument on malformed input.  Returns the journal length.
+/// InvalidArgument on malformed input or a `seeding sequential` journal.
+/// Returns the journal length.
 std::size_t load_session(std::istream& in, SessionCheckpoint& session);
 
 /// LoadMode-aware variant.  In kRecover, a journal with a torn or
 /// bit-flipped tail loads its longest valid record prefix and never
-/// throws (a corrupt header yields an empty checkpoint with
-/// `header_ok` false).  `source` labels error messages (file path);
+/// throws on corruption (a corrupt header yields an empty checkpoint
+/// with `header_ok` false); a `seeding sequential` journal is refused
+/// with InvalidArgument in both modes.  `source` labels error messages;
 /// `report`, when non-null, receives what happened.
 std::size_t load_session(std::istream& in, SessionCheckpoint& session,
                          LoadMode mode, SessionLoadReport* report = nullptr,

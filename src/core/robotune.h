@@ -68,10 +68,10 @@ class RoboTune : public tuners::Tuner {
   /// so the continuation is identical to an uninterrupted run (the
   /// checkpoint's seed/budget/workload must match).
   ///
-  /// `scheduler`, when given, runs the BO evaluation batches concurrently
-  /// with index-derived seed streams (see BoEngine::run); parameter
-  /// selection itself stays sequential.  A checkpoint resumes only under
-  /// the seeding mode (scheduler vs detached) that produced it.
+  /// `scheduler`, when given, runs the BO evaluation batches on its
+  /// workers (see BoEngine::run; without one they run inline on one
+  /// worker, with the same index-derived seed streams and results).
+  /// Parameter selection itself stays sequential.
   ///
   /// `external`, when given, runs the BO search in ask/tell mode: the
   /// engine publishes each batch through the bridge and blocks for

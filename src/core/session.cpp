@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/framed_line.h"
 #include "tuners/bestconfig.h"
 #include "tuners/gunther.h"
@@ -145,10 +146,6 @@ std::string SessionSpec::validate() const {
   if (!exec::racing_mode_from_string(racing, racing_mode)) {
     return "bad racing mode '" + racing + "' (off|median|halving)";
   }
-  if ((racing_mode != exec::RacingMode::kOff || eval_deadline > 0.0) &&
-      parallel < 1) {
-    return "racing/eval-deadline need the batch scheduler (parallel >= 1)";
-  }
   if (eval_deadline < 0.0) return "eval deadline must be >= 0";
   if (init < 0 || selection_samples < 0) {
     return "init/selection-samples must be >= 0";
@@ -175,7 +172,7 @@ std::string SessionSpec::validate() const {
     // the batch scheduler / racing layer drive simulator runs an
     // external executor replaces outright.
     if (tuner != "robotune") return "external mode requires tuner=robotune";
-    if (parallel != 0) {
+    if (parallel > 1) {
       return "external mode is incompatible with parallel workers "
              "(evaluations run outside the daemon)";
     }
@@ -313,14 +310,8 @@ bool decode_spec(const std::string& text, SessionSpec& spec,
 }
 
 bool save_spec_file(const SessionSpec& spec, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << encode_spec(spec);
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomically(
+      path, [&](std::ostream& out) { out << encode_spec(spec); });
 }
 
 bool load_spec_file(const std::string& path, SessionSpec& spec,
@@ -405,14 +396,13 @@ SessionOutcome Session::run(
     objective.set_retry_policy(retry);
   }
 
-  std::unique_ptr<exec::EvalScheduler> scheduler;
-  if (spec_.parallel >= 1) {
-    exec::SchedulerOptions sched;
-    sched.parallelism = spec_.parallel;
-    sched.racing.mode = racing_mode_;
-    sched.racing.deadline_s = spec_.eval_deadline;
-    scheduler = std::make_unique<exec::EvalScheduler>(sched);
-  }
+  // parallel 0 (the default) and 1 both run inline on one worker.
+  exec::SchedulerOptions sched;
+  sched.parallelism = std::max(1, spec_.parallel);
+  sched.racing.mode = racing_mode_;
+  sched.racing.deadline_s = spec_.eval_deadline;
+  exec::EvalScheduler scheduler(sched);
+  const bool external = spec_.mode == "external";
 
   tuner_->set_pacing(cancel, std::move(yield));
 
@@ -465,10 +455,9 @@ SessionOutcome Session::run(
     }
     RoboTuneReport report;
     try {
-      report = robotune_->tune_report(objective, spec_.budget, spec_.seed,
-                                      nullptr, session_ptr, scheduler.get(),
-                                      spec_.mode == "external" ? external_
-                                                               : nullptr);
+      report = robotune_->tune_report(
+          objective, spec_.budget, spec_.seed, nullptr, session_ptr,
+          external ? nullptr : &scheduler, external ? external_ : nullptr);
     } catch (const std::exception& e) {
       outcome.error = e.what();
       return outcome;
@@ -478,7 +467,7 @@ SessionOutcome Session::run(
     outcome.report = std::move(report);
     // Parallel sessions journal in completion order; re-flush the journal
     // in canonical index order so the final bytes are identical for any
-    // worker count.  Already-canonical journals (every sequential or q=1
+    // worker count.  Already-canonical journals (every one-worker or q=1
     // session) are left byte-for-byte untouched.
     if (session_ptr != nullptr && !session.state.evaluations.empty()) {
       bool canonical = true;
@@ -495,7 +484,7 @@ SessionOutcome Session::run(
     }
   } else {
     try {
-      tuner_->set_scheduler(scheduler.get());
+      tuner_->set_scheduler(&scheduler);
       outcome.result = tuner_->tune(objective, spec_.budget, spec_.seed);
       tuner_->set_scheduler(nullptr);
     } catch (const std::exception& e) {

@@ -53,11 +53,11 @@ struct SessionSpec {
   std::string fault_profile = "none";
   int retries = 2;
   double preempt_rate = 0.0;
-  /// Evaluation workers: 0 = detached sequential seed streams; N >= 1 =
-  /// scheduler mode (bit-identical results for any N).
+  /// Evaluation workers.  0 (the default) and 1 both evaluate inline on
+  /// one worker; results are bit-identical for any value.
   int parallel = 0;
   int batch = 1;              ///< BO batch width q (robotune only)
-  std::string racing = "off";  ///< off|median|halving (needs parallel >= 1)
+  std::string racing = "off";  ///< off|median|halving
   double eval_deadline = 0.0;  ///< per-eval deadline seconds (0 = off)
   /// BO initial-design size override (0 = engine default of 20).  Small
   /// budgets — service smoke tests, the fig_service bench — need this to
@@ -76,8 +76,8 @@ struct SessionSpec {
   /// Session mode: "internal" runs evaluations against the sparksim
   /// objective (everything before DESIGN.md §16); "external" is
   /// ask/tell — the session proposes configurations and blocks until an
-  /// external executor observes them back (robotune only, detached
-  /// scheduler, no racing).  Serialized only when external, so internal
+  /// external executor observes them back (robotune only, parallel at
+  /// most 1, no racing).  Serialized only when external, so internal
   /// spec files stay byte-identical and pre-external daemons reject
   /// external specs cleanly via the unknown-key rule.
   std::string mode = "internal";
@@ -162,7 +162,7 @@ class Session {
   /// When the session journals (spec.checkpoint_path non-empty) and ran
   /// with batch parallelism, the journal is re-flushed in canonical
   /// (eval-index) order on completion, so the final bytes are identical
-  /// for any worker count; sequential sessions are already canonical and
+  /// for any worker count; one-worker sessions are already canonical and
   /// their journal bytes are never rewritten.
   SessionOutcome run(
       const std::atomic<bool>* cancel = nullptr,

@@ -14,7 +14,9 @@
 // Smaller `sample_set_size` values exercise the full recursion.
 //
 // BestConfig also adapts its kill threshold at runtime (the best time
-// seen so far times a multiplier), reproduced here per §5.3.
+// seen so far times a multiplier), reproduced here per §5.3.  A DDS round
+// evaluates as one batch, so the threshold is fixed at the start of each
+// round: with one round per session it stays at the static cap.
 #pragma once
 
 #include "tuners/tuner.h"

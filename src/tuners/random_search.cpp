@@ -1,5 +1,7 @@
 #include "tuners/random_search.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 
 namespace robotune::tuners {
@@ -14,29 +16,24 @@ TuningResult RandomSearch::tune(sparksim::SparkObjective& objective,
   session_span.arg("seed", seed);
   Rng rng(seed);
   const std::size_t dims = objective.space().size();
-  // Transient-fault handling rides entirely on evaluate_into/GuardPolicy:
-  // censored flake values never enter the guard median, and RS keeps no
-  // model state that a flake could poison.
+  // Transient-fault handling rides entirely on evaluate_batch_into and
+  // GuardPolicy: censored flake values never enter the guard median, and
+  // RS keeps no model state that a flake could poison.
   GuardPolicy guard(static_threshold_s_, /*median_multiple=*/0.0);
-  if (scheduler() != nullptr) {
-    // Scheduler mode: RS has no sequential dependence at all (static
-    // threshold, no model), so the whole budget is one batch.  The unit
-    // vectors are drawn up front in the same RNG order as the sequential
-    // loop below.
-    std::vector<std::vector<double>> units(
-        static_cast<std::size_t>(std::max(0, budget)));
+  // RS has no sequential dependence at all (static threshold, no model),
+  // so it evaluates in rounds of a fixed width purely to give cancel and
+  // the fair-scheduling turnstile a boundary.  The width is a constant,
+  // never the worker count, and streams are index-derived, so the
+  // history is identical at any width or parallelism.
+  std::vector<std::vector<double>> units;
+  for (int done = 0; done < budget; done += kRoundWidth) {
+    if (paced_stop()) break;  // cooperative cancel at round boundary
+    const int width = std::min(kRoundWidth, budget - done);
+    units.assign(static_cast<std::size_t>(width), std::vector<double>(dims));
     for (auto& unit : units) {
-      unit.resize(dims);
       for (auto& u : unit) u = rng.uniform();
     }
-    evaluate_batch_into(*scheduler(), objective, units, guard, result);
-    return result;
-  }
-  std::vector<double> unit(dims);
-  for (int i = 0; i < budget; ++i) {
-    if (paced_stop()) break;  // cooperative cancel between evaluations
-    for (auto& u : unit) u = rng.uniform();
-    evaluate_into(objective, unit, guard, result);
+    evaluate_batch_into(rounds(), objective, units, guard, result);
   }
   return result;
 }

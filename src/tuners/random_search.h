@@ -12,6 +12,10 @@ class RandomSearch : public Tuner {
   explicit RandomSearch(double static_threshold_s = 480.0)
       : static_threshold_s_(static_threshold_s) {}
 
+  /// Evaluations per round; cancel and the turnstile are polled between
+  /// rounds.  Results do not depend on it.
+  static constexpr int kRoundWidth = 16;
+
   std::string name() const override { return "RS"; }
   TuningResult tune(sparksim::SparkObjective& objective, int budget,
                     std::uint64_t seed) override;

@@ -10,6 +10,13 @@
 // same 100-evaluation budget the search-based tuners get
 // (bench/abl_learning_based): with ~70 training runs the surrogate is too
 // weak to guide the GA anywhere better than random sampling.
+//
+// Unlike the other tuners, RFHOC keeps two evaluation paths: with a
+// scheduler attached every evaluation runs on an index-derived seed
+// stream; detached it draws from the objective's sequential stream.  It
+// is reachable from neither the CLI nor the daemon, and on index-derived
+// streams its validation phase lands on OOM-heavy configurations at some
+// seeds, so the detached path stays until its surrogate copes with that.
 #pragma once
 
 #include "tuners/tuner.h"

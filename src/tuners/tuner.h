@@ -107,14 +107,16 @@ class Tuner {
 
   /// Attaches a batch-evaluation scheduler: subsequent tune() calls
   /// dispatch whole rounds (GA generations, DDS sample sets, BO batches)
-  /// through it, with evaluation seeds derived per eval index so results
-  /// are bit-identical for any scheduler parallelism (see
-  /// exec/eval_scheduler.h).  Scheduler-mode trajectories differ from
-  /// detached-mode ones — the seed streams and per-round guard semantics
-  /// differ — so compare like with like.  Detach with nullptr.
+  /// onto its workers.  Detach with nullptr: rounds then run on the
+  /// tuner's inline one-worker scheduler.  Either way evaluation seeds
+  /// are derived per eval index, so results are bit-identical for any
+  /// scheduler parallelism (see exec/eval_scheduler.h).  RFHOC is the
+  /// exception: detached, it still evaluates on the objective's
+  /// sequential stream (see rfhoc.h).
   void set_scheduler(exec::EvalScheduler* scheduler) noexcept {
     scheduler_ = scheduler;
   }
+  /// The attached scheduler, or nullptr when none is.
   exec::EvalScheduler* scheduler() const noexcept { return scheduler_; }
 
   /// Cooperative pacing for sessions hosted by the service layer.
@@ -142,14 +144,23 @@ class Tuner {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
   }
 
+  /// The scheduler rounds run through: the attached one, else the inline
+  /// one-worker scheduler (no thread, same results).
+  exec::EvalScheduler& rounds() noexcept {
+    return scheduler_ != nullptr ? *scheduler_ : inline_scheduler_;
+  }
+
  private:
   exec::EvalScheduler* scheduler_ = nullptr;
+  exec::EvalScheduler inline_scheduler_;
   const std::atomic<bool>* cancel_ = nullptr;
   std::function<void()> yield_;
 };
 
-/// Helper shared by tuner implementations: evaluate a unit vector under
-/// the guard, append to the result, update the guard.
+/// Evaluates a unit vector on the objective's sequential seed stream
+/// under the guard, appends to the result, updates the guard.  Only
+/// RFHOC's detached path still uses it; every other tuner evaluates
+/// through evaluate_batch_into.
 Evaluation evaluate_into(sparksim::SparkObjective& objective,
                          const std::vector<double>& unit, GuardPolicy& guard,
                          TuningResult& result);

@@ -73,8 +73,11 @@ TEST(ForkForEvalTest, SameIndexSameOutcome) {
 TEST(ForkForEvalTest, IndependentOfSequentialStreamPosition) {
   auto fresh = make_objective(99);
   auto advanced = make_objective(99);
-  advanced.skip_seed_draws(40);  // sequential stream far ahead
   const auto units = make_units(1, fresh.space().size(), 6);
+  for (const auto& unit : make_units(40, fresh.space().size(), 8)) {
+    advanced.evaluate(unit);  // sequential stream far ahead
+  }
+  ASSERT_EQ(advanced.seed_draws(), 40u);
   const auto a = fresh.fork_for_eval(3).evaluate(units[0]);
   const auto b = advanced.fork_for_eval(3).evaluate(units[0]);
   EXPECT_EQ(a.value_s, b.value_s);

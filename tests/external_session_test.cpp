@@ -22,6 +22,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -625,6 +626,74 @@ TEST(ExternalSessionTest, SuggestAndObserveVerbsSpeakAskTell) {
 }
 
 // ---- spec validation -----------------------------------------------------
+
+// The spec file a daemon of the release before the detached evaluation
+// mode was removed wrote for external_spec(31, 6, 4), byte for byte.
+// External sessions carry parallel=0.
+constexpr std::string_view kParentExternalSpecFile =
+    "robotune-spec v1\n"
+    "3ceef9e3 204 workload=PR dataset=1 tuner=robotune budget=6 seed=31 "
+    "metric=time fault=none retries=2 preempt=0 parallel=0 batch=4 "
+    "racing=off deadline=0 init=4 selsamples=20 surrogate=auto rff=0 "
+    "refit=auto mode=external\n";
+
+TEST(ExternalSessionTest, ParentFormatSpecDecodesAndResumes) {
+  core::SessionSpec spec;
+  std::string error;
+  ASSERT_TRUE(core::decode_spec(std::string(kParentExternalSpecFile), spec,
+                                &error))
+      << error;
+  EXPECT_EQ(spec.parallel, 0);
+  EXPECT_EQ(spec.mode, "external");
+  EXPECT_EQ(core::encode_spec(spec), kParentExternalSpecFile);
+
+  // Freeze a daemon image mid-round, put the parent's spec bytes in it,
+  // and restart from it: the session resumes and completes with the
+  // journal bytes of the uninterrupted run.
+  TempDir dir("parent-spec");
+  TempDir image("parent-spec-image");
+  std::uint64_t id = 0;
+  std::string completed_bytes;
+  {
+    service::ServiceOptions options;
+    options.root = dir.path();
+    options.max_live = 1;
+    service::SessionManager manager(options);
+    const auto started = manager.start(spec);
+    ASSERT_TRUE(started.admitted) << started.error;
+    id = started.id;
+    const auto round = wait_for_grants(manager, id, 4);
+    tell_all(manager, id, {round.begin(), round.begin() + 1});
+    fs::copy(dir.path(), image.path(),
+             fs::copy_options::recursive |
+                 fs::copy_options::overwrite_existing);
+    tell_all(manager, id, {round.begin() + 1, round.end()});
+    drive_to_completion(manager, id);
+    wait_for_state(manager, id, service::SessionState::kDone);
+    completed_bytes = slurp(manager.journal_path(id));
+  }
+
+  service::ServiceOptions options;
+  options.root = image.path();
+  options.max_live = 1;
+  service::SessionManager manager(options);
+  std::ofstream(manager.spec_path(id), std::ios::binary | std::ios::trunc)
+      << kParentExternalSpecFile;
+  const auto recovery = manager.recover_fleet();
+  EXPECT_EQ(recovery.readmitted, 1u);
+  EXPECT_EQ(recovery.quarantined, 0u);
+  std::map<std::uint64_t, std::vector<double>> pending;
+  for (const auto& grant : wait_for_grants(manager, id, 3)) {
+    pending[grant.index] = grant.unit;
+  }
+  for (const auto& [idx, unit] : pending) {  // index order, as above
+    const auto told = manager.tell(id, idx, fake_measurement(unit, idx));
+    ASSERT_TRUE(told.ok) << told.error;
+  }
+  drive_to_completion(manager, id);
+  wait_for_state(manager, id, service::SessionState::kDone);
+  EXPECT_EQ(slurp(manager.journal_path(id)), completed_bytes);
+}
 
 TEST(ExternalSessionTest, SpecRejectsIncompatibleKnobs) {
   auto spec = external_spec(28);

@@ -482,21 +482,19 @@ TEST(ObjectiveFaultsTest, ResetCountersRestoresTheSeedStream) {
   EXPECT_EQ(objective.seed_draws(), draws);
 }
 
-TEST(ObjectiveFaultsTest, SkipSeedDrawsFastForwardsExactly) {
-  const auto units = random_units(2, 777);
-  auto live = make_faulty_objective(FaultProfile::uniform(0.25), 2);
-  const auto first = live.evaluate(units[0]);
-  const auto second = live.evaluate(units[1]);
-
-  // A resumed objective replays the first evaluation as a skip and must
-  // land on the identical second outcome.
-  auto resumed = make_faulty_objective(FaultProfile::uniform(0.25), 2);
-  resumed.skip_seed_draws(static_cast<std::uint64_t>(first.attempts));
-  const auto replayed = resumed.evaluate(units[1]);
-  EXPECT_EQ(replayed.value_s, second.value_s);
-  EXPECT_EQ(replayed.cost_s, second.cost_s);
-  EXPECT_EQ(replayed.status, second.status);
-  EXPECT_EQ(replayed.attempts, second.attempts);
+TEST(ObjectiveFaultsTest, SeedDrawsCountEveryAttempt) {
+  // Checkpoints journal the draws parameter selection consumed; under
+  // faults every retry draws a fresh run seed, so draws == attempts.
+  auto objective = make_faulty_objective(FaultProfile::uniform(0.25), 2);
+  std::uint64_t attempts = 0;
+  bool retried = false;
+  for (const auto& unit : random_units(12, 777)) {
+    const auto out = objective.evaluate(unit);
+    attempts += static_cast<std::uint64_t>(out.attempts);
+    retried = retried || out.attempts > 1;
+    EXPECT_EQ(objective.seed_draws(), attempts);
+  }
+  EXPECT_TRUE(retried);
 }
 
 TEST(ObjectiveFaultsTest, PreemptionsRetryAndCensorLikeOtherTransients) {

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/framed_line.h"
 #include "common/rng.h"
 #include "core/persistence.h"
 #include "core/robotune.h"
@@ -160,7 +162,6 @@ TEST(ParallelDeterminismTest, SchedulerSessionResumesIdentically) {
     const auto uninterrupted = run_session(&full, 4, with_faults);
     ASSERT_EQ(full.state.evaluations.size(),
               static_cast<std::size_t>(kBudget));
-    EXPECT_TRUE(full.state.indexed_seeding);
 
     // Resume from several interruption points, at a different worker
     // count than the original session, with the kept journal shuffled
@@ -195,35 +196,36 @@ TEST(ParallelDeterminismTest, JournalWithHoleReplaysLongestPrefix) {
   expect_results_equal(uninterrupted.tuning, continued.tuning);
 }
 
-TEST(ParallelDeterminismTest, CrossModeResumeIsRefused) {
-  // Journal written by a scheduler (indexed) session...
-  core::SessionLog indexed;
-  run_session(&indexed, 2, false);
-  {
-    core::SessionLog resumed;
-    resumed.state = indexed.state;
-    resumed.state.evaluations.resize(8);
-    auto objective = make_objective(false);
-    core::RoboTune tuner(fast_robotune());
-    // ...must not resume detached (sequential seed streams).
-    EXPECT_THROW(
-        tuner.tune_report(objective, kBudget, kSeed, nullptr, &resumed),
-        InvalidArgument);
-  }
+TEST(ParallelDeterminismTest, SequentialSeedingJournalIsRefused) {
+  // A journal of the removed detached mode differs from a live one only
+  // in its seeding record.  Re-frame that record (valid CRC) so the
+  // loader sees a well-formed `seeding sequential` journal.
+  core::SessionLog full;
+  run_session(&full, 2, false);
+  full.state.evaluations.resize(8);
+  std::ostringstream out;
+  core::save_session(full.state, out);
+  std::string text = out.str();
+  std::string indexed_frame, sequential_frame;
+  append_frame(indexed_frame, "seeding indexed");
+  append_frame(sequential_frame, "seeding sequential");
+  const auto at = text.find(indexed_frame);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, indexed_frame.size(), sequential_frame);
 
-  // And a detached journal must not resume under a scheduler.
-  core::SessionLog sequential;
-  {
-    auto objective = make_objective(false);
-    core::RoboTune tuner(fast_robotune());
-    tuner.tune_report(objective, kBudget, kSeed, nullptr, &sequential);
-    EXPECT_FALSE(sequential.state.indexed_seeding);
-  }
-  {
-    core::SessionLog resumed;
-    resumed.state = sequential.state;
-    resumed.state.evaluations.resize(8);
-    EXPECT_THROW(run_session(&resumed, 2, false), InvalidArgument);
+  // Refused in both modes: recover mode must not treat the record as a
+  // torn tail and resume the prefix before it.
+  for (const auto mode : {LoadMode::kStrict, LoadMode::kRecover}) {
+    std::istringstream in(text);
+    core::SessionCheckpoint loaded;
+    try {
+      core::load_session(in, loaded, mode);
+      ADD_FAILURE() << "sequential journal loaded";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("removed sequential"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -238,7 +240,6 @@ TEST(ParallelDeterminismTest, SchedulerJournalRoundTripsThroughDisk) {
   ASSERT_TRUE(core::save_session_file(cut, path));
   core::SessionLog resumed;
   ASSERT_TRUE(core::load_session_file(path, resumed.state));
-  EXPECT_TRUE(resumed.state.indexed_seeding);
   EXPECT_EQ(resumed.state.evaluations.size(), 11u);
   const auto continued = run_session(&resumed, 5, true);
   expect_results_equal(uninterrupted.tuning, continued.tuning);

@@ -1,12 +1,16 @@
 // Tests for the memoized-state persistence layer and the crash-safe
 // (v3, CRC-framed) session-journal format.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/error.h"
 #include "core/persistence.h"
@@ -123,6 +127,47 @@ TEST(PersistenceTest, FileHelpersRoundTrip) {
   ASSERT_TRUE(load_state_file(path, sel2, memo2));
   EXPECT_TRUE(sel2.contains("W"));
   EXPECT_EQ(memo2.size("W"), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, FailedSaveLeavesThePreviousStateFileIntact) {
+  const std::string path = "/tmp/robotune_persistence_failed_save.state";
+  const std::string tmp = path + ".tmp";
+  std::remove(path.c_str());
+  ::rmdir(tmp.c_str());
+  ParameterSelectionCache selection;
+  selection.store("W", {1, 2});
+  ConfigMemoizationBuffer memo;
+  ASSERT_TRUE(save_state_file(selection, memo, path));
+
+  // A directory squatting on the temp name makes the next save fail
+  // before it writes anything: the state file must keep its old bytes.
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  ParameterSelectionCache changed;
+  changed.store("X", {3});
+  EXPECT_FALSE(save_state_file(changed, memo, path));
+  ParameterSelectionCache loaded;
+  ConfigMemoizationBuffer memo2;
+  ASSERT_TRUE(load_state_file(path, loaded, memo2));
+  EXPECT_TRUE(loaded.contains("W"));
+  EXPECT_FALSE(loaded.contains("X"));
+  ::rmdir(tmp.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, WriterFailureMidStreamKeepsTheOldFile) {
+  const std::string path = "/tmp/robotune_persistence_atomic_write.txt";
+  ASSERT_TRUE(write_file_atomically(
+      path, [](std::ostream& out) { out << "old\n"; }));
+  EXPECT_FALSE(write_file_atomically(path, [](std::ostream& out) {
+    out << "half a new fi";
+    out.setstate(std::ios::badbit);  // the disk filled up mid-write
+  }));
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "old");
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);  // temp removed
   std::remove(path.c_str());
 }
 

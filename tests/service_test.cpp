@@ -353,16 +353,42 @@ TEST(ServiceSpecTest, ValidateRejectsBadCombinations) {
   spec.tuner = "unknown-tuner";
   EXPECT_FALSE(spec.validate().empty());
 
+  // Racing and the eval deadline run on the inline one-worker scheduler
+  // too, so the default parallel accepts them.
   spec = small_spec(1);
   spec.racing = "median";
-  spec.parallel = 0;  // racing needs the scheduler
-  EXPECT_FALSE(spec.validate().empty());
+  spec.eval_deadline = 300.0;
+  spec.parallel = 0;
+  EXPECT_TRUE(spec.validate().empty()) << spec.validate();
 
   spec = small_spec(1);
   spec.budget = 2;  // below the initial design
   EXPECT_FALSE(spec.validate().empty());
 
   EXPECT_TRUE(small_spec(1).validate().empty());
+}
+
+TEST(ServiceSpecTest, DefaultParallelRacesLikeAnyWorkerCount) {
+  // parallel=0 is one inline worker, not a different algorithm: a racing
+  // session journals the same bytes at 0, 1 and 3 workers.
+  TempDir dir("default-parallel");
+  std::string reference;
+  for (const int parallel : {1, 0, 3}) {
+    core::SessionSpec spec = small_spec(5);
+    spec.batch = 2;
+    spec.racing = "median";
+    spec.parallel = parallel;
+    const std::string path =
+        dir.file("p" + std::to_string(parallel) + ".journal");
+    run_standalone(spec, path);
+    const std::string bytes = slurp(path);
+    if (reference.empty()) {
+      reference = bytes;
+      EXPECT_NE(reference.find("racing median"), std::string::npos);
+    } else {
+      EXPECT_EQ(bytes, reference) << "parallel=" << parallel;
+    }
+  }
 }
 
 // ----------------------------------------------------------- admission ----

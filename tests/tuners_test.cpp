@@ -1,6 +1,7 @@
 // Tests for the tuner infrastructure and the three baseline tuners.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 
 #include "sparksim/objective.h"
@@ -216,6 +217,32 @@ TEST(RandomSearchTest, DifferentSeedsExploreDifferently) {
   RandomSearch rs;
   EXPECT_NE(rs.tune(a, 10, 1).history[0].unit,
             rs.tune(b, 10, 2).history[0].unit);
+}
+
+TEST(RandomSearchTest, CancelStopsAtARoundBoundaryWithAPrefix) {
+  constexpr int kBudget = 3 * RandomSearch::kRoundWidth;
+  auto full_objective = make_objective(8);
+  RandomSearch rs;
+  const auto full = rs.tune(full_objective, kBudget, 9);
+  ASSERT_EQ(full.history.size(), static_cast<std::size_t>(kBudget));
+
+  // Cancel from the fair-scheduling hook at the second round boundary:
+  // every yield is a boundary, and the one after the cancel never runs.
+  std::atomic<bool> cancel{false};
+  int yields = 0;
+  RandomSearch paced;
+  paced.set_pacing(&cancel, [&] {
+    if (++yields == 2) cancel.store(true);
+  });
+  auto objective = make_objective(8);
+  const auto cut = paced.tune(objective, kBudget, 9);
+  EXPECT_EQ(yields, 2);
+  ASSERT_EQ(cut.history.size(),
+            static_cast<std::size_t>(RandomSearch::kRoundWidth));
+  for (std::size_t i = 0; i < cut.history.size(); ++i) {
+    EXPECT_EQ(cut.history[i].unit, full.history[i].unit) << i;
+    EXPECT_EQ(cut.history[i].value_s, full.history[i].value_s) << i;
+  }
 }
 
 // --------------------------------------------------------- BestConfig ----
