@@ -6,13 +6,26 @@
 // prior observations, asks the GP-Hedge portfolio (PI/EI/LCB) for the
 // next configuration, evaluates it under the guard thresholds, and
 // updates the portfolio's gains.
+//
+// The engine is a step-wise ask/tell core (the shape of scikit-optimize's
+// Optimizer, the paper's engine).  It owns the GP, Hedge, guard,
+// degradation-ladder and journal-replay state, and does two things:
+// `propose()` hands out the next round of points and `ingest()` folds the
+// round's outcomes back in.  Who evaluates a round is the driver's
+// business.  There are two drivers: `run()` evaluates every round on an
+// exec::EvalScheduler, and an ask/tell session (core::Session, DESIGN.md
+// §16) publishes each round to external executors and ingests what they
+// report, one short step per round.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/memoization.h"
@@ -25,7 +38,7 @@
 
 namespace robotune::core {
 
-class ExternalBridge;
+struct ExternalObservation;
 
 /// Which surrogate tier models the observations (DESIGN.md §15).
 enum class SurrogateTier {
@@ -158,10 +171,22 @@ struct BoResult {
   std::vector<gp::AcquisitionKind> chosen_acquisitions;
   std::vector<double> hedge_gains;   ///< final gains (PI, EI, LCB)
   bool early_stopped = false;
-  /// True when BoOptions::cancel stopped the session before its budget;
-  /// the journal (if any) holds a resumable checkpoint.
+  /// True when the session was stopped before its budget (BoOptions::
+  /// cancel, or its ask/tell host); the journal holds a resumable
+  /// checkpoint.
   bool interrupted = false;
   int iterations_run = 0;
+};
+
+/// One round handed out by BoEngine::propose: the live remainder of a
+/// batch whose journaled prefix was already replayed.
+struct BoRound {
+  std::uint64_t first_index = 0;            ///< eval index of points[0]
+  std::vector<std::vector<double>> points;  ///< full-space unit vectors
+  /// Guard threshold frozen for the whole round (before its replayed
+  /// prefix), so a resume mid-round runs the remainder under the
+  /// threshold the uninterrupted session used.
+  double threshold = 0.0;
 };
 
 class BoEngine {
@@ -171,28 +196,56 @@ class BoEngine {
   BoEngine(std::vector<std::size_t> selected, std::vector<double> base_unit,
            BoOptions options = {});
 
-  /// Runs Algorithm 1 (batched when options.batch_size > 1).  `memoized`
-  /// seeds the initial set (pass {} for an unseen workload).  `session`,
-  /// when given, journals every completed evaluation and replays a
-  /// previously journaled prefix (see SessionLog).  Every evaluation
-  /// batch runs through `scheduler` — or, when it is null, through an
-  /// inline one-worker scheduler — with per-eval index-derived seed
-  /// streams, so results are bit-identical for any scheduler
-  /// parallelism.
-  ///
-  /// `external`, when given, turns the engine into ask/tell mode
-  /// (DESIGN.md §16): each round's batch is published through the
-  /// bridge instead of evaluated, and the engine blocks until an
-  /// external executor reports every observation back.  Mutually
-  /// exclusive with `scheduler`.  An external-mode checkpoint replays
-  /// standalone (no bridge) but refuses to run live evaluations without
-  /// one.
+  /// The internal driver: runs Algorithm 1 (batched when
+  /// options.batch_size > 1) as begin → {propose → scheduler → ingest}
+  /// until propose() says finished or `options.cancel` is set at a round
+  /// boundary.  `memoized` seeds the initial set (pass {} for an unseen
+  /// workload).  `session`, when given, journals every completed
+  /// evaluation and replays a previously journaled prefix (see
+  /// SessionLog).  Every round runs through `scheduler` — or, when it is
+  /// null, through an inline one-worker scheduler — with per-eval
+  /// index-derived seed streams, so results are bit-identical for any
+  /// scheduler parallelism.  A checkpoint an ask/tell session journaled
+  /// replays here too, but refuses to run live evaluations: only its
+  /// external executors can continue it.
   BoResult run(sparksim::SparkObjective& objective,
                const std::vector<MemoizedConfig>& memoized = {},
                const BoObserver& observer = nullptr,
                SessionLog* session = nullptr,
-               exec::EvalScheduler* scheduler = nullptr,
-               ExternalBridge* external = nullptr);
+               exec::EvalScheduler* scheduler = nullptr);
+
+  // ---- the step-wise core ---------------------------------------------
+
+  /// Starts the engine's one session: canonicalizes and pins the journal
+  /// (racing signature, session mode) and draws the initial design.  `racing` is
+  /// the exec::racing_signature live rounds will be evaluated under;
+  /// `external` marks an ask/tell session (a checkpoint journaled by an
+  /// internal session is refused).
+  void begin(const std::vector<MemoizedConfig>& memoized,
+             const BoObserver& observer, SessionLog* session,
+             const std::string& racing, bool external);
+
+  /// The next round, or nullopt once the budget is spent or early
+  /// stopping tripped.  Journaled evaluations are replayed in here, so a
+  /// round is handed out only for its live remainder, and a fully
+  /// journaled round is folded in without ever leaving the engine.
+  std::optional<BoRound> propose();
+
+  /// Folds in the outcomes of the round propose() handed out, one per
+  /// point in point order.  Journaling them is the driver's job.
+  void ingest(std::vector<tuners::Evaluation> live);
+
+  /// Ask/tell counterpart of ingest: maps each reported (value, cost,
+  /// status) tuple onto the evaluation the simulator path would have
+  /// produced under the round's frozen threshold, journals the eval
+  /// records and drops the round's suggest records in one flush, then
+  /// folds them in.
+  void ingest_external(const std::vector<ExternalObservation>& reported);
+
+  /// Ends the session and returns its result.  `interrupted` marks a
+  /// stop before propose() said finished; the journal (if any) then
+  /// holds a resumable checkpoint.
+  BoResult finish(bool interrupted);
 
   /// Projects a full-space unit vector onto the selected subspace.
   std::vector<double> project(const std::vector<double>& full) const;
@@ -204,9 +257,69 @@ class BoEngine {
   }
 
  private:
+  void open_round();
+  void propose_batch(int q);
+  void start_search();
+  void absorb(std::vector<tuners::Evaluation>& live);
+  void fold_round();
+  bool fit_exact_ladder(bool hyperfit, std::uint64_t fit_seed);
+  bool fit_rff();
+  bool fit_with_ladder(bool hyperfit, std::uint64_t fit_seed);
+  void dedup_training(std::vector<std::vector<double>>& dx,
+                      std::vector<double>& dy) const;
+  void note_degrade(const char* rung);
+  double observation(double seconds) const;
+
   std::vector<std::size_t> selected_;
   std::vector<double> base_unit_;
   BoOptions options_;
+
+  // ---- the one session an engine runs ----------------------------------
+  bool begun_ = false;
+  SessionLog* session_ = nullptr;
+  BoObserver observer_;
+  bool external_ = false;  ///< its rounds are resolved by ingest_external
+  BoResult result_;
+  Rng rng_;
+  tuners::GuardPolicy guard_;
+  std::size_t replay_pos_ = 0;  ///< next journaled evaluation to replay
+  std::size_t journaled_ = 0;
+  std::vector<std::vector<double>> init_subs_;  ///< the initial design
+  std::size_t next_init_ = 0;
+  /// Transient initial samples: trained on only if flakes wiped out
+  /// (nearly) the whole design.
+  std::vector<std::pair<std::vector<double>, double>> censored_init_;
+  std::vector<std::vector<double>> xs_;  ///< subspace training points
+  std::vector<double> ys_;
+  /// The learned (hyperfit) kernel, kept apart from model_->kernel(): the
+  /// noise-inflation rung fits a temporary Sum(kernel, WhiteNoise) model,
+  /// and cloning *that* forward would stack a noise term per round.
+  std::unique_ptr<gp::Kernel> kernel_state_;
+  std::unique_ptr<gp::Surrogate> model_;
+  std::optional<gp::GpHedge> hedge_;  ///< created when the search starts
+  bool model_fitted_ = false;
+  int iter_ = 0;  ///< BO iterations done (evaluations past the design)
+  double best_seen_ = 0.0;
+  int since_improvement_ = 0;
+  /// Doubling schedule: the training-set size of the next refit.
+  std::size_t next_doubling_n_ = 0;
+  bool finished_ = false;
+  bool round_open_ = false;  ///< handed out by propose, not yet ingested
+  /// The round between propose() and its fold: an initial-design slice
+  /// [init_begin, init_end) or a BO iteration's q proposals (fallback[j]
+  /// marks a seeded one Hedge did not choose), and its evaluations so
+  /// far (replayed prefix, then live).
+  struct Round {
+    bool init = true;
+    std::size_t init_begin = 0, init_end = 0;
+    int q = 0;
+    std::vector<gp::GpHedge::Choice> choices;
+    std::vector<char> fallback;
+    int fantasies_planted = 0;
+    std::vector<std::vector<double>> points;
+    double threshold = 0.0;
+    std::vector<tuners::Evaluation> evals;
+  } round_;
 };
 
 }  // namespace robotune::core

@@ -66,11 +66,15 @@ ExternalBridge::Slot* ExternalBridge::find_slot(std::uint64_t index) {
   return nullptr;
 }
 
-bool ExternalBridge::exchange(
-    const std::vector<std::vector<double>>& points, std::uint64_t first_index,
-    std::vector<ExternalObservation>& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (cancel_ || closed_) return false;
+bool ExternalBridge::round_resolved() const {
+  return std::all_of(round_.begin(), round_.end(),
+                     [](const Slot& s) { return s.delivered; });
+}
+
+void ExternalBridge::publish(const std::vector<std::vector<double>>& points,
+                             std::uint64_t first_index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return;
   round_.clear();
   bool journal_dirty = false;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -86,14 +90,11 @@ bool ExternalBridge::exchange(
     } else if (log_ != nullptr) {
       // Reuse the suggest record a previous process journaled for this
       // index (keeps its last lease id); journal a fresh one otherwise.
-      SuggestRecord* existing = nullptr;
-      for (auto& s : log_->state.suggests) {
-        if (s.index == slot.index) {
-          existing = &s;
-          break;
-        }
-      }
-      if (existing != nullptr) {
+      const auto& suggests = log_->state.suggests;
+      const auto existing =
+          std::find_if(suggests.begin(), suggests.end(),
+                       [&](const SuggestRecord& s) { return s.index == slot.index; });
+      if (existing != suggests.end()) {
         slot.lease = existing->lease;
       } else {
         SuggestRecord record;
@@ -107,43 +108,27 @@ bool ExternalBridge::exchange(
   }
   // The pending set must hit disk before any lease can be granted —
   // otherwise a kill -9 between grant and journal double-issues the
-  // suggestion after restart.  Publication (round_active_) happens
-  // under the same lock hold, so lease() can never observe the round
-  // before its journal record exists.
+  // suggestion after restart.  Publication happens under the same lock
+  // hold, so lease() can never observe the round before its journal
+  // record exists.
   if (journal_dirty) flush_journal();
-  round_active_ = true;
-  cv_.wait(lock, [&] {
-    if (cancel_ || closed_) return true;
-    return std::all_of(round_.begin(), round_.end(),
-                       [](const Slot& s) { return s.delivered; });
-  });
-  const bool complete = std::all_of(round_.begin(), round_.end(),
-                                    [](const Slot& s) { return s.delivered; });
-  if (!complete) {
-    // Cancelled mid-round: leave the journal's pending entries alone so
-    // a resume re-enters this exact round.
-    round_active_ = false;
-    round_.clear();
-    return false;
-  }
-  out.clear();
-  out.reserve(round_.size());
-  for (const auto& slot : round_) out.push_back(slot.obs);
-  round_active_ = false;
-  round_.clear();
-  return true;
 }
 
-void ExternalBridge::request_cancel() {
+std::optional<std::vector<ExternalObservation>> ExternalBridge::collect() {
   std::lock_guard<std::mutex> lock(mu_);
-  cancel_ = true;
-  cv_.notify_all();
+  if (closed_ || round_.empty() || !round_resolved()) return std::nullopt;
+  std::vector<ExternalObservation> out;
+  out.reserve(round_.size());
+  for (const auto& slot : round_) out.push_back(slot.obs);
+  round_.clear();
+  return out;
 }
 
 void ExternalBridge::close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
-  cv_.notify_all();
+  round_.clear();
+  log_ = nullptr;
 }
 
 std::vector<LeaseGrant> ExternalBridge::lease(std::size_t max_count,
@@ -151,7 +136,6 @@ std::vector<LeaseGrant> ExternalBridge::lease(std::size_t max_count,
                                               std::uint64_t timeout_ticks) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<LeaseGrant> grants;
-  if (!round_active_ || closed_) return grants;
   bool journal_dirty = false;
   for (auto& slot : round_) {
     if (grants.size() >= max_count) break;
@@ -193,7 +177,7 @@ ExternalBridge::TellResult ExternalBridge::tell(
                          : TellVerdict::kConflict;
     return result;
   }
-  Slot* slot = round_active_ ? find_slot(index) : nullptr;
+  Slot* slot = find_slot(index);
   if (slot == nullptr) {
     result.verdict = TellVerdict::kUnknown;
     return result;
@@ -214,14 +198,13 @@ ExternalBridge::TellResult ExternalBridge::tell(
   }
   result.verdict = TellVerdict::kAccepted;
   result.recorded = obs;
-  cv_.notify_all();
+  result.resolved = round_resolved();
   return result;
 }
 
 std::vector<LeaseExpiry> ExternalBridge::reap(std::uint64_t now) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<LeaseExpiry> expired;
-  if (!round_active_) return expired;
   for (auto& slot : round_) {
     if (slot.delivered || !slot.leased || now < slot.deadline) continue;
     slot.leased = false;
@@ -237,7 +220,6 @@ std::vector<LeaseExpiry> ExternalBridge::reap(std::uint64_t now) {
 
 std::size_t ExternalBridge::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!round_active_) return 0;
   return static_cast<std::size_t>(
       std::count_if(round_.begin(), round_.end(),
                     [](const Slot& s) { return !s.delivered; }));
@@ -245,16 +227,10 @@ std::size_t ExternalBridge::pending() const {
 
 std::size_t ExternalBridge::leased(std::uint64_t now) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!round_active_) return 0;
   return static_cast<std::size_t>(std::count_if(
       round_.begin(), round_.end(), [now](const Slot& s) {
         return !s.delivered && s.leased && now < s.deadline;
       }));
-}
-
-bool ExternalBridge::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 }  // namespace robotune::core

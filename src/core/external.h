@@ -1,4 +1,5 @@
-// Ask/tell bridge for external-mode sessions (DESIGN.md §16).
+// Ask/tell bridge for external-mode sessions (DESIGN.md §16): the lease
+// ledger between a session's BO engine and its external executors.
 //
 // An external session proposes configurations but never runs them: an
 // outside executor (a real Spark cluster, a benchmark harness, a human)
@@ -7,9 +8,9 @@
 // and duplicates messages, so the bridge owns the robustness contract
 // between the deterministic BO engine and the unreliable outside world:
 //
-//   - the ENGINE side publishes a batch with `exchange()` and blocks
-//     until every point in the round is resolved (or the session is
-//     cancelled);
+//   - the SESSION side publishes a round with `publish()` and, once
+//     every point of it is delivered, takes the observations back with
+//     `collect()` — nothing blocks or waits in between;
 //   - the SERVICE side hands suggestions out under monotonic lease ids
 //     with tick deadlines (`lease`), accepts observations idempotently
 //     (`tell` — a re-sent observe returns the recorded ack, a
@@ -23,18 +24,19 @@
 // double-issued.
 //
 // Concurrency invariant: service calls mutate the shared SessionLog
-// only while at least one suggestion in the round is undelivered —
-// which is precisely while the engine is parked inside `exchange()`.
-// Once the round resolves, the engine owns the log again (journals the
-// eval records, prunes the resolved suggests) and service calls are
-// read-only until the next round.  All bridge state is guarded by one
-// internal mutex; callers must NOT hold their own locks across bridge
-// calls (the bridge flushes the journal, which can be slow).
+// only while a published round has an undelivered suggestion.  From the
+// delivery that resolves the round (`tell` reports it) until the next
+// `publish`, the session's step owns the log: it collects the round,
+// journals the eval records, prunes the resolved suggests and proposes
+// the next round, while service calls stay read-only.  All bridge state
+// is guarded by one internal mutex; callers must NOT hold their own
+// locks across bridge calls (the bridge flushes the journal, which can
+// be slow and re-enters the host through its progress callback).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -62,7 +64,7 @@ struct LeaseGrant {
 
 /// What `tell` did with an observation.
 enum class TellVerdict {
-  kAccepted,   ///< first delivery: recorded, journaled, engine woken
+  kAccepted,   ///< first delivery: recorded and journaled
   kDuplicate,  ///< exact re-delivery: recorded ack returned, no effect
   kConflict,   ///< same index, different tuple: rejected
   kUnknown,    ///< index never suggested (or not yet published)
@@ -78,35 +80,37 @@ class ExternalBridge {
   struct TellResult {
     TellVerdict verdict = TellVerdict::kUnknown;
     ExternalObservation recorded;
+    /// This delivery was the last one the published round waited for:
+    /// the session may now collect it.
+    bool resolved = false;
   };
 
-  // ---- engine side ------------------------------------------------
+  // ---- session side -----------------------------------------------
 
   /// Attaches the session journal (nullable for in-memory ask/tell)
   /// and restores the ledger a previous process left behind: the
   /// idempotency map from observe_ack records and the next lease id
-  /// from the largest id ever journaled.  Called once, by the engine,
-  /// before the first exchange.
+  /// from the largest id ever journaled.  Called once, before the first
+  /// publish.
   void bind(SessionLog* log);
 
   /// Publishes one round of proposals (canonical indices first_index,
-  /// first_index+1, ...) and blocks until every one is resolved by
-  /// `tell` (or restored acks).  Suggestions are journaled before they
-  /// become leasable.  Returns false — with `out` unspecified — when
-  /// the session was cancelled or closed mid-round; the round's
-  /// pending entries stay journaled so a resume re-enters the same
-  /// round.  On true, `out[i]` is the observation for points[i].
-  bool exchange(const std::vector<std::vector<double>>& points,
-                std::uint64_t first_index,
-                std::vector<ExternalObservation>& out);
+  /// first_index+1, ...).  Suggestions are journaled before they become
+  /// leasable; points acked before a crash are delivered at once.  A
+  /// no-op once closed.
+  void publish(const std::vector<std::vector<double>>& points,
+               std::uint64_t first_index);
 
-  /// Wakes a parked exchange and makes it (and all future exchanges)
-  /// return false.  Safe from any thread.
-  void request_cancel();
+  /// The published round's observations in point order, once every
+  /// point is delivered; the round is retired and the log is the
+  /// caller's until the next publish.  nullopt while a point is still
+  /// undelivered, when nothing is published, or once closed.
+  std::optional<std::vector<ExternalObservation>> collect();
 
-  /// Marks the session terminal: lease() stops granting and tell()
-  /// answers only from the recorded-ack ledger.  Called by the session
-  /// host after the engine returns.
+  /// Marks the session terminal: the published round is dropped (its
+  /// suggest records stay journaled, so a resume re-enters it), lease()
+  /// stops granting, the journal is detached, and tell() answers only
+  /// from the recorded-ack ledger.
   void close();
 
   // ---- service side -----------------------------------------------
@@ -137,8 +141,6 @@ class ExternalBridge {
   /// Undelivered suggestions currently out on a live lease.
   std::size_t leased(std::uint64_t now) const;
 
-  bool closed() const;
-
  private:
   struct Slot {
     std::uint64_t index = 0;
@@ -153,13 +155,12 @@ class ExternalBridge {
   // All private helpers assume mu_ is held.
   void flush_journal();
   Slot* find_slot(std::uint64_t index);
+  bool round_resolved() const;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   SessionLog* log_ = nullptr;
+  /// The published round; empty between collect() and the next publish.
   std::vector<Slot> round_;
-  bool round_active_ = false;
-  bool cancel_ = false;
   bool closed_ = false;
   std::uint64_t next_lease_ = 1;
   /// Every observation ever accepted, by eval index — the idempotency

@@ -24,16 +24,42 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
                                      int budget, std::uint64_t seed,
                                      const BoObserver& observer,
                                      SessionLog* session,
-                                     exec::EvalScheduler* scheduler,
-                                     ExternalBridge* external) {
+                                     exec::EvalScheduler* scheduler) {
   RoboTuneReport report;
-  const std::string workload_key =
-      sparksim::to_string(objective.workload().kind);
   obs::Span session_span("session", "core");
   session_span.arg("tuner", name());
-  session_span.arg("workload", workload_key);
+  session_span.arg("workload", sparksim::to_string(objective.workload().kind));
   session_span.arg("budget", budget);
   session_span.arg("seed", seed);
+  const auto memoized =
+      prepare(objective, budget, seed, session, /*external=*/false, report);
+  BoEngine engine(report.selected, objective.space().default_unit(),
+                  bo_options(budget, seed));
+  end_search(objective,
+             engine.run(objective, memoized, observer, session, scheduler),
+             report);
+  return report;
+}
+
+std::unique_ptr<BoEngine> RoboTune::begin_search(
+    sparksim::SparkObjective& objective, int budget, std::uint64_t seed,
+    SessionLog* session, RoboTuneReport& report) {
+  const auto memoized =
+      prepare(objective, budget, seed, session, /*external=*/true, report);
+  auto engine = std::make_unique<BoEngine>(
+      report.selected, objective.space().default_unit(),
+      bo_options(budget, seed));
+  engine->begin(memoized, nullptr, session,
+                exec::racing_signature(exec::RacingOptions{}),
+                /*external=*/true);
+  return engine;
+}
+
+std::vector<MemoizedConfig> RoboTune::prepare(
+    sparksim::SparkObjective& objective, int budget, std::uint64_t seed,
+    SessionLog* session, bool external, RoboTuneReport& report) {
+  const std::string workload_key =
+      sparksim::to_string(objective.workload().kind);
 
   // A loaded checkpoint (non-empty selection) resumes: selection and the
   // memoized-config snapshot come from the checkpoint.  Nothing reads the
@@ -94,9 +120,9 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
   }
 
   // ---- Memoized configurations ------------------------------------------
-  const auto memoized =
-      resuming ? session->state.memoized
-               : memo_buffer_.best(workload_key, options_.memoize_top_k);
+  auto memoized = resuming
+                      ? session->state.memoized
+                      : memo_buffer_.best(workload_key, options_.memoize_top_k);
   report.used_memoized_configs = !memoized.empty();
 
   // Snapshot the fixed session metadata before the first evaluation, so
@@ -110,11 +136,13 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
     session->state.memoized = memoized;
     // Pin the session mode with the very first flush, so resuming an
     // early checkpoint in the other mode is refused.
-    session->state.external = external != nullptr;
+    session->state.external = external;
     if (session->flush) session->flush(session->state);
   }
+  return memoized;
+}
 
-  // ---- BO search -----------------------------------------------------------
+BoOptions RoboTune::bo_options(int budget, std::uint64_t seed) const {
   BoOptions bo = options_.bo;
   bo.budget = budget;
   bo.seed = seed;
@@ -122,9 +150,12 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
   // caller already wired explicit hooks through RoboTuneOptions::bo.
   if (bo.cancel == nullptr) bo.cancel = pacing_cancel();
   if (!bo.yield) bo.yield = pacing_yield();
-  BoEngine engine(report.selected, objective.space().default_unit(), bo);
-  report.bo =
-      engine.run(objective, memoized, observer, session, scheduler, external);
+  return bo;
+}
+
+void RoboTune::end_search(const sparksim::SparkObjective& objective,
+                          BoResult bo, RoboTuneReport& report) {
+  report.bo = std::move(bo);
   report.tuning = report.bo.tuning;
   report.tuning.tuner = name();
 
@@ -138,10 +169,11 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
               return a->value_s < b->value_s;
             });
   const std::size_t keep = std::min(options_.memoize_top_k, ok_evals.size());
+  const std::string workload_key =
+      sparksim::to_string(objective.workload().kind);
   for (std::size_t i = 0; i < keep; ++i) {
     memo_buffer_.store(workload_key, {ok_evals[i]->unit, ok_evals[i]->value_s});
   }
-  return report;
 }
 
 }  // namespace robotune::core

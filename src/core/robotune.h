@@ -12,6 +12,9 @@
 //
 // ROBOTune implements the common Tuner interface so the benchmark
 // harnesses can drive it side by side with BestConfig, Gunther and RS.
+// tune_report runs the whole session with BoEngine's internal driver;
+// begin_search/end_search split it around the BO search for hosts that
+// drive the engine step by step (ask/tell sessions, DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -72,25 +75,39 @@ class RoboTune : public tuners::Tuner {
   /// workers (see BoEngine::run; without one they run inline on one
   /// worker, with the same index-derived seed streams and results).
   /// Parameter selection itself stays sequential.
-  ///
-  /// `external`, when given, runs the BO search in ask/tell mode: the
-  /// engine publishes each batch through the bridge and blocks for
-  /// externally reported observations (see BoEngine::run).  Parameter
-  /// selection still runs against the simulator objective — selection
-  /// needs its 100 generic LHS probes, which an external executor does
-  /// not serve.  Mutually exclusive with `scheduler`.
   RoboTuneReport tune_report(sparksim::SparkObjective& objective, int budget,
                              std::uint64_t seed,
                              const BoObserver& observer = nullptr,
                              SessionLog* session = nullptr,
-                             exec::EvalScheduler* scheduler = nullptr,
-                             ExternalBridge* external = nullptr);
+                             exec::EvalScheduler* scheduler = nullptr);
+
+  /// tune_report up to the BO search, for an ask/tell session: selection
+  /// as in tune_report (still against the simulator — its generic LHS
+  /// probes are not something an external executor serves), the journal
+  /// pinned to ask/tell mode, and the engine begun on `session`.
+  std::unique_ptr<BoEngine> begin_search(sparksim::SparkObjective& objective,
+                                         int budget, std::uint64_t seed,
+                                         SessionLog* session,
+                                         RoboTuneReport& report);
+  /// tune_report after the BO search: the engine's result into `report`,
+  /// the best configurations into the memoization buffer.
+  void end_search(const sparksim::SparkObjective& objective, BoResult bo,
+                  RoboTuneReport& report);
 
   ParameterSelectionCache& selection_cache() { return selection_cache_; }
   ConfigMemoizationBuffer& memo_buffer() { return memo_buffer_; }
   const RoboTuneOptions& options() const { return options_; }
 
  private:
+  /// Parameter selection (checkpoint, cache hit, or RF pipeline), the
+  /// memoized-config snapshot, and the session metadata's first flush.
+  /// Returns the memoized configurations that seed the initial design.
+  std::vector<MemoizedConfig> prepare(sparksim::SparkObjective& objective,
+                                      int budget, std::uint64_t seed,
+                                      SessionLog* session, bool external,
+                                      RoboTuneReport& report);
+  BoOptions bo_options(int budget, std::uint64_t seed) const;
+
   RoboTuneOptions options_;
   ParameterSelectionCache selection_cache_;
   ConfigMemoizationBuffer memo_buffer_;

@@ -34,13 +34,13 @@
 
 namespace robotune::core {
 
+class ExternalBridge;
+
 /// Everything needed to run (or re-run) one tuning session.  The
 /// tuning-relevant fields round-trip through encode_spec/decode_spec;
 /// the durability fields (checkpoint_path, resume, recover, sync) are
 /// host wiring — the daemon derives them from its service root — and are
 /// not serialized.
-class ExternalBridge;
-
 struct SessionSpec {
   std::string workload = "PR";  ///< PR|KM|CC|LR|TS (sparksim short name)
   int dataset = 1;              ///< Table-1 dataset, 1..3
@@ -75,9 +75,9 @@ struct SessionSpec {
   std::string refit = "auto";
   /// Session mode: "internal" runs evaluations against the sparksim
   /// objective (everything before DESIGN.md §16); "external" is
-  /// ask/tell — the session proposes configurations and blocks until an
-  /// external executor observes them back (robotune only, parallel at
-  /// most 1, no racing).  Serialized only when external, so internal
+  /// ask/tell — the session proposes configurations and an external
+  /// executor observes them back (robotune only, parallel at most 1, no
+  /// racing).  Serialized only when external, so internal
   /// spec files stay byte-identical and pre-external daemons reject
   /// external specs cleanly via the unknown-key rule.
   std::string mode = "internal";
@@ -121,6 +121,9 @@ struct SessionProgress {
   std::vector<double> best_unit;  ///< incumbent configuration (may be empty)
 };
 
+/// The progress a journal shows: its evaluation count and incumbent.
+SessionProgress progress_of(const SessionCheckpoint& state);
+
 struct SessionOutcome {
   tuners::TuningResult result;
   /// robotune only: selection + memoization details, BoResult.
@@ -135,24 +138,20 @@ struct SessionOutcome {
   bool ok() const noexcept { return error.empty(); }
 };
 
-/// One assembled tuning session.  `run` may be called exactly once.
+/// One assembled tuning session.  It runs once: either through `run`,
+/// or — an ask/tell session hosted by the daemon — through `open`, the
+/// `step`s, and `finish`.
 class Session {
  public:
+  Session(const Session&) = delete;  // its journal hook holds `this`
+  Session& operator=(const Session&) = delete;
+
   const SessionSpec& spec() const noexcept { return spec_; }
 
   /// Loads / saves the cross-session memoized state (selection cache +
   /// config buffer); no-ops (returning false) for non-robotune tuners.
   bool load_state(const std::string& path);
   bool save_state(const std::string& path);
-
-  /// Attaches the ask/tell bridge an external-mode session publishes
-  /// its batches through.  Must be called before run(); required when
-  /// spec().mode == "external" unless the journal already holds the
-  /// whole budget (standalone replay).  The caller keeps ownership and
-  /// must outlive run().
-  void attach_external(ExternalBridge* bridge) noexcept {
-    external_ = bridge;
-  }
 
   /// Runs the session to completion (or to cancellation).  `cancel`
   /// (nullable) is polled at round boundaries; `yield` (nullable) is the
@@ -164,14 +163,48 @@ class Session {
   /// (eval-index) order on completion, so the final bytes are identical
   /// for any worker count; one-worker sessions are already canonical and
   /// their journal bytes are never rewritten.
+  ///
+  /// A journal an ask/tell session wrote replays here (the CLI resume
+  /// path) but cannot make live progress: that needs its executors.
   SessionOutcome run(
       const std::atomic<bool>* cancel = nullptr,
       std::function<void()> yield = nullptr,
       std::function<void(const SessionProgress&)> progress = nullptr);
 
+  // ---- ask/tell (spec mode=external) sessions, driven in steps --------
+  //
+  // Each call is one short step on the host's thread; nothing blocks on
+  // the executors.  `open` and `step` return true while the session
+  // waits on `bridge` for observations and false once it has ended
+  // (budget spent, or an error that `finish` reports).  The host runs at
+  // most one call of a session at a time and ends every session with
+  // `finish`.
+
+  /// First step: loads (resumes) the journal, runs parameter selection,
+  /// restores the bridge's ledger, and publishes the first round.
+  bool open(ExternalBridge& bridge,
+            std::function<void(const SessionProgress&)> progress = nullptr);
+  /// Later steps: once `bridge` holds every observation of the published
+  /// round, ingests it and publishes the next round (a no-op before).
+  bool step(ExternalBridge& bridge);
+  /// Ends the session and reports it; `interrupted` marks a stop before
+  /// the budget was spent (the journal resumes).  Call after closing the
+  /// bridge, so no service call touches the journal any more.
+  SessionOutcome finish(bool interrupted);
+
  private:
   friend class SessionFactory;
   explicit Session(SessionSpec spec);
+
+  sparksim::SparkObjective make_objective() const;
+  /// Loads the journal when resuming and wires its flush hook; false
+  /// (with outcome_.error set) when the journal cannot be resumed.
+  bool open_journal();
+  /// The log BO runs journal through: null without a checkpoint path.
+  SessionLog* journal() noexcept {
+    return spec_.checkpoint_path.empty() ? nullptr : &log_;
+  }
+  SessionOutcome conclude();
 
   SessionSpec spec_;
   sparksim::WorkloadKind kind_;
@@ -180,8 +213,13 @@ class Session {
   exec::RacingMode racing_mode_ = exec::RacingMode::kOff;
   std::unique_ptr<tuners::Tuner> tuner_;
   RoboTune* robotune_ = nullptr;  ///< non-null when tuner is robotune
-  ExternalBridge* external_ = nullptr;  ///< non-null for hosted ask/tell
   bool ran_ = false;
+  std::function<void(const SessionProgress&)> progress_;
+  SessionLog log_;
+  SessionOutcome outcome_;
+  // ---- ask/tell state, alive between open and finish --------------------
+  std::unique_ptr<sparksim::SparkObjective> objective_;
+  std::unique_ptr<BoEngine> engine_;
 };
 
 /// Parses a fault-profile string (preset name or "loss=F,fetch=F,..."

@@ -44,19 +44,21 @@ void sync_path(const std::string& path) {
   ::close(fd);
 }
 
-core::SessionProgress progress_from_journal(
-    const core::SessionCheckpoint& state) {
-  core::SessionProgress p;
-  p.evaluations = state.evaluations.size();
-  p.best_value_s = std::numeric_limits<double>::infinity();
-  for (const auto& e : state.evaluations) {
-    if (e.status != sparksim::RunStatus::kOk) continue;
-    if (e.value_s < p.best_value_s) {
-      p.best_value_s = e.value_s;
-      p.best_unit = e.unit;
+/// The journal at `path` in canonical order (recover mode: a torn tail
+/// is the expected kill -9 case); false with `error` set when unreadable.
+bool read_journal(const std::string& path, core::SessionCheckpoint& state,
+                  std::string* error) {
+  try {
+    if (load_session_file(path, state, core::LoadMode::kRecover)) {
+      core::canonicalize_journal(state);
     }
+    return true;
+  } catch (const std::exception& e) {
+    if (error != nullptr) {
+      *error = std::string("journal unreadable: ") + e.what();
+    }
+    return false;
   }
-  return p;
 }
 
 }  // namespace
@@ -119,7 +121,8 @@ void Turnstile::leave() {
 SessionManager::SessionManager(ServiceOptions options)
     : options_(std::move(options)),
       turnstile_(options_.slots == 0 ? options_.max_live : options_.slots),
-      pool_(std::max<std::size_t>(1, options_.max_live)) {
+      pool_(std::max<std::size_t>(1, options_.max_live)),
+      steps_(std::max<std::size_t>(1, options_.max_live)) {
   fs::create_directories(options_.root);
   if (!options_.events_path.empty()) {
     EventJournal::Options ev;
@@ -222,18 +225,13 @@ SessionManager::StartResult SessionManager::admit(core::SessionSpec spec,
   }
   entry->progress.best_value_s = std::numeric_limits<double>::infinity();
   entry->enqueued_at = std::chrono::steady_clock::now();
-  bool cancel_now = false;
   {
     std::scoped_lock lock(mutex_);
     sessions_[id] = entry;
     // A cancelling shutdown may have swept sessions_ while the spec was
     // being written; catch this late-inserted entry up with the sweep.
-    if (cancel_all_) {
-      entry->cancel.store(true, std::memory_order_relaxed);
-      cancel_now = true;
-    }
+    if (cancel_all_) entry->cancel.store(true, std::memory_order_relaxed);
   }
-  if (cancel_now && entry->bridge) entry->bridge->request_cancel();
   result.admitted = true;
   result.id = id;
   obs::count("service.admission.accepted");
@@ -242,77 +240,112 @@ SessionManager::StartResult SessionManager::admit(core::SessionSpec spec,
   events_.emit(id, "admission.accept", fixed_id != 0 ? "readmission" : "");
   events_.emit(id, "queue.enter");
   if (entry->bridge) {
-    // Ask/tell sessions get a dedicated thread, never a pool worker or a
-    // turnstile slice: they spend their life parked in exchange() waiting
-    // on remote executors, so a pool slot would cap concurrent external
-    // sessions at max_live and let idle leases starve compute-bound
-    // internal sessions.
-    std::thread runner([this, entry] { run_entry(entry); });
-    std::scoped_lock lock(mutex_);
-    external_threads_.push_back(std::move(runner));
+    // Ask/tell sessions never hold a worker while they wait on their
+    // executors: each one is a sequence of short steps on steps_, and
+    // its first step runs selection and publishes round 0.
+    schedule_step(entry);
   } else {
     pool_.submit([this, entry] { run_entry(entry); });
   }
   return result;
 }
 
-void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
+bool SessionManager::leave_queue(Entry& entry) {
   const double wait_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() -
-                             entry->enqueued_at)
+                             entry.enqueued_at)
                              .count();
-  if (entry->cancel.load(std::memory_order_relaxed)) {
+  if (entry.cancel.load(std::memory_order_relaxed)) {
     // Cancelled while still queued: terminal without ever running. Journal
     // the terminal event before committing the counters — drain() returns
     // the moment the counters read zero and promises a complete journal.
-    events_.emit(entry->id, "queue.leave");
-    events_.emit(entry->id, "session.cancelled", "cancelled while queued");
+    events_.emit(entry.id, "queue.leave");
+    events_.emit(entry.id, "session.cancelled", "cancelled while queued");
     obs::count("service.sessions.cancelled");
     std::scoped_lock lock(mutex_);
     --queued_;
     ++cancelled_;
-    entry->state = SessionState::kCancelled;
-    entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-    entry->queue_wait_ms = wait_ms;
+    entry.state = SessionState::kCancelled;
+    entry.terminal_tick = now_tick_.load(std::memory_order_relaxed);
+    entry.queue_wait_ms = wait_ms;
     sample_gauges_locked();
     terminal_cv_.notify_all();
-    return;
+    return false;
   }
   {
     std::scoped_lock lock(mutex_);
-    entry->state = SessionState::kRunning;
+    entry.state = SessionState::kRunning;
     --queued_;
     ++running_;
-    entry->queue_wait_ms = wait_ms;
+    entry.queue_wait_ms = wait_ms;
     sample_gauges_locked();
   }
   obs::metrics().observe("runtime.service.queue.wait_ms",
-                         entry->queue_wait_ms, queue_wait_buckets_ms());
-  events_.emit(entry->id, "queue.leave");
-  events_.emit(entry->id, "session.running");
+                         entry.queue_wait_ms, queue_wait_buckets_ms());
+  events_.emit(entry.id, "queue.leave");
+  events_.emit(entry.id, "session.running");
+  return true;
+}
+
+void SessionManager::settle(Entry& entry, const core::SessionOutcome& outcome) {
+  const SessionState state = !outcome.ok() ? SessionState::kFailed
+                             : outcome.interrupted
+                                 ? SessionState::kCancelled
+                                 : SessionState::kDone;
+  // Emit the terminal event and outcome counter BEFORE committing the state
+  // transition: drain() returns as soon as the counters read zero, and its
+  // contract is that the journal then contains every terminal event. Per-id
+  // event order is safe — only this session's worker or step writes it.
+  obs::count(state == SessionState::kDone     ? "service.sessions.done"
+             : state == SessionState::kFailed ? "service.sessions.failed"
+                                              : "service.sessions.cancelled");
+  events_.emit(entry.id,
+               state == SessionState::kDone     ? "session.done"
+               : state == SessionState::kFailed ? "session.failed"
+                                                : "session.cancelled",
+               outcome.error);
+  std::scoped_lock lock(mutex_);
+  --running_;
+  switch (state) {
+    case SessionState::kDone:
+      ++done_;
+      break;
+    case SessionState::kFailed:
+      ++failed_;
+      break;
+    default:
+      ++cancelled_;
+      break;
+  }
+  entry.state = state;
+  entry.terminal_tick = now_tick_.load(std::memory_order_relaxed);
+  entry.error = outcome.error;
+  entry.resumed = outcome.resumed;
+  entry.replayed = outcome.replayed;
+  entry.journal_recovered = outcome.journal_recovered;
+  sample_gauges_locked();
+  // Notify under the lock: once drain() observes the counters at zero
+  // the manager may be destroyed, so an after-unlock notify could hit
+  // a dead condition variable.
+  terminal_cv_.notify_all();
+}
+
+void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
+  if (!leave_queue(*entry)) return;
   // Scope every metric and span of this session (and of its private
   // evaluation pool — ThreadPool::submit propagates the scope) under
   // session/<id>/.
   obs::ScopedSession scope(entry->id);
   obs::count("service.sessions.started");
   const std::uint64_t id = entry->id;
-  const bool external = entry->bridge != nullptr;
-  // External sessions skip the turnstile entirely (see admit): no slice
-  // to enter, no yield hook — their round boundaries are client-paced.
-  if (!external) turnstile_.enter(id);
-
+  turnstile_.enter(id);
   core::SessionOutcome outcome;
   try {
     std::string create_error;
     if (auto session = core::SessionFactory::create(entry->spec,
                                                     &create_error)) {
-      if (external) session->attach_external(entry->bridge.get());
       outcome = session->run(
-          &entry->cancel,
-          external ? std::function<void()>{}
-                   : std::function<void()>([this, id] {
-                       turnstile_.yield(id);
-                     }),
+          &entry->cancel, [this, id] { turnstile_.yield(id); },
           [this, entry](const core::SessionProgress& p) {
             std::scoped_lock lock(mutex_);
             entry->progress = p;
@@ -325,53 +358,69 @@ void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
     // keep the worker (and the turnstile slice accounting) healthy.
     outcome.error = e.what();
   }
-  if (!external) turnstile_.leave();
-  // Terminal: stop granting leases.  tell() keeps answering late
-  // duplicate observes from the bridge's recorded-ack ledger.
-  if (external) entry->bridge->close();
+  turnstile_.leave();
+  settle(*entry, outcome);
+}
 
-  const SessionState state = !outcome.ok() ? SessionState::kFailed
-                             : outcome.interrupted
-                                 ? SessionState::kCancelled
-                                 : SessionState::kDone;
-  // Emit the terminal event and outcome counter BEFORE committing the state
-  // transition: drain() returns as soon as the counters read zero, and its
-  // contract is that the journal then contains every terminal event. Per-id
-  // event order is safe — this thread is the only writer for this session.
-  obs::count(state == SessionState::kDone     ? "service.sessions.done"
-             : state == SessionState::kFailed ? "service.sessions.failed"
-                                              : "service.sessions.cancelled");
-  events_.emit(id,
-               state == SessionState::kDone     ? "session.done"
-               : state == SessionState::kFailed ? "session.failed"
-                                                : "session.cancelled",
-               outcome.error);
+void SessionManager::schedule_step(const std::shared_ptr<Entry>& entry) {
   {
     std::scoped_lock lock(mutex_);
-    --running_;
-    switch (state) {
-      case SessionState::kDone:
-        ++done_;
-        break;
-      case SessionState::kFailed:
-        ++failed_;
-        break;
-      default:
-        ++cancelled_;
-        break;
+    if (terminal(entry->state)) return;
+    if (entry->stepping) {
+      // The running step goes round once more when it ends: at most one
+      // step of a session runs at a time.
+      entry->step_again = true;
+      return;
     }
-    entry->state = state;
-    entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-    entry->error = outcome.error;
-    entry->resumed = outcome.resumed;
-    entry->replayed = outcome.replayed;
-    entry->journal_recovered = outcome.journal_recovered;
-    sample_gauges_locked();
-    // Notify under the lock: once drain() observes the counters at zero
-    // the manager may be destroyed, so an after-unlock notify could hit
-    // a dead condition variable.
-    terminal_cv_.notify_all();
+    entry->stepping = true;
   }
+  steps_.submit([this, entry] {
+    for (;;) {
+      external_step(entry);
+      std::scoped_lock lock(mutex_);
+      if (!entry->step_again || terminal(entry->state)) {
+        entry->stepping = false;
+        return;
+      }
+      entry->step_again = false;
+    }
+  });
+}
+
+void SessionManager::external_step(const std::shared_ptr<Entry>& entry) {
+  core::ExternalBridge& bridge = *entry->bridge;
+  const bool first = entry->session == nullptr;
+  if (first && !leave_queue(*entry)) return;
+  obs::ScopedSession scope(entry->id);
+  core::SessionOutcome outcome;
+  try {
+    bool live = false;
+    if (first) {
+      obs::count("service.sessions.started");
+      entry->session = core::SessionFactory::create(entry->spec, &outcome.error);
+      // The raw pointer is safe: the entry owns the session.
+      live = entry->session != nullptr &&
+             entry->session->open(bridge, [this, e = entry.get()](
+                                              const core::SessionProgress& p) {
+               std::scoped_lock lock(mutex_);
+               e->progress = p;
+             });
+    } else {
+      live = entry->session->step(bridge);
+    }
+    if (live && !entry->cancel.load(std::memory_order_relaxed)) return;
+    // Terminal: close the ledger first, so no service call touches the
+    // journal while the session reads it one last time.  tell() keeps
+    // answering late duplicate observes from the recorded-ack ledger.
+    bridge.close();
+    if (entry->session != nullptr) outcome = entry->session->finish(live);
+  } catch (const std::exception& e) {
+    // One session's failure must never wedge the fleet.
+    bridge.close();
+    outcome.error = e.what();
+  }
+  entry->session.reset();
+  settle(*entry, outcome);
 }
 
 bool SessionManager::cancel(std::uint64_t id, std::string* error) {
@@ -381,7 +430,6 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
     if (error != nullptr) *error = why;
     return false;
   }
-  std::shared_ptr<core::ExternalBridge> bridge;
   {
     std::scoped_lock lock(mutex_);
     if (terminal(entry->state)) {
@@ -391,13 +439,7 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
       return false;
     }
     entry->cancel.store(true, std::memory_order_relaxed);
-    bridge = entry->bridge;
   }
-  // Wake an engine parked in an ask/tell exchange: the cancel flag is
-  // only polled at round boundaries, which an external session may never
-  // reach on its own.  Outside mutex_ — bridge calls take the bridge
-  // lock, whose journal flush re-enters the manager.
-  if (bridge != nullptr) bridge->request_cancel();
   // Tombstone the explicit cancel so a daemon restart keeps the session
   // cancelled instead of resuming it (graceful shutdown, by contrast,
   // leaves no tombstone — its sessions resume).  Written outside the
@@ -406,6 +448,9 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
   std::FILE* f = std::fopen(tombstone_path(id).c_str(), "w");
   if (f != nullptr) std::fclose(f);
   events_.emit(id, "cancel.requested");
+  // An internal session sees the flag at its next round boundary; an
+  // ask/tell session waiting on its executors gets a step that ends it.
+  if (entry->bridge != nullptr) schedule_step(entry);
   return true;
 }
 
@@ -529,6 +574,28 @@ std::size_t SessionManager::resident_sessions() const {
   return sessions_.size();
 }
 
+std::shared_ptr<SessionManager::Entry> SessionManager::terminal_entry(
+    std::uint64_t id, const core::SessionSpec& spec,
+    const core::SessionCheckpoint& state, SessionState terminal_state) {
+  auto entry = std::make_shared<Entry>();
+  entry->id = id;
+  entry->spec = spec;
+  entry->spec.checkpoint_path = journal_path(id);
+  entry->spec.sync = options_.sync;
+  entry->state = terminal_state;
+  entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
+  entry->progress = core::progress_of(state);
+  if (spec.mode == "external") {
+    // A closed ledger over the journaled acks: late executor retries
+    // still get a truthful duplicate/conflict answer.
+    core::SessionLog log{state, nullptr};
+    entry->bridge = std::make_shared<core::ExternalBridge>();
+    entry->bridge->bind(&log);
+    entry->bridge->close();
+  }
+  return entry;
+}
+
 std::shared_ptr<SessionManager::Entry> SessionManager::find_or_rehydrate(
     std::uint64_t id, std::string* error) {
   SessionState evicted_state = SessionState::kDone;
@@ -552,25 +619,8 @@ std::shared_ptr<SessionManager::Entry> SessionManager::find_or_rehydrate(
     return nullptr;
   }
   core::SessionCheckpoint state;
-  try {
-    if (load_session_file(journal_path(id), state,
-                          core::LoadMode::kRecover)) {
-      core::canonicalize_journal(state);
-    }
-  } catch (const std::exception& e) {
-    if (error != nullptr) {
-      *error = std::string("journal unreadable: ") + e.what();
-    }
-    return nullptr;
-  }
-  auto entry = std::make_shared<Entry>();
-  entry->id = id;
-  entry->spec = spec;
-  entry->spec.checkpoint_path = journal_path(id);
-  entry->spec.sync = options_.sync;
-  entry->state = evicted_state;
-  entry->progress = progress_from_journal(state);
-  entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
+  if (!read_journal(journal_path(id), state, error)) return nullptr;
+  auto entry = terminal_entry(id, spec, state, evicted_state);
   {
     std::scoped_lock lock(mutex_);
     const auto it = sessions_.find(id);
@@ -649,17 +699,9 @@ SessionManager::ObserveResult SessionManager::observe(
     std::uint64_t id, std::uint64_t from, std::uint64_t limit) {
   ObserveResult result;
   if (find_or_rehydrate(id, &result.error) == nullptr) return result;
+  // A corrupt journal must not take the daemon down with the request.
   core::SessionCheckpoint state;
-  try {
-    if (load_session_file(journal_path(id), state,
-                          core::LoadMode::kRecover)) {
-      core::canonicalize_journal(state);
-    }
-  } catch (const std::exception& e) {
-    // A corrupt journal must not take the daemon down with the request.
-    result.error = std::string("journal unreadable: ") + e.what();
-    return result;
-  }
+  if (!read_journal(journal_path(id), state, &result.error)) return result;
   result.ok = true;
   result.total = state.evaluations.size();
   for (const auto& record : state.evaluations) {
@@ -669,18 +711,6 @@ SessionManager::ObserveResult SessionManager::observe(
   }
   return result;
 }
-
-namespace {
-
-/// Same exactness as the bridge's idempotency check: %.17g round-trips
-/// doubles losslessly over the wire, so exact equality is well-defined.
-bool same_tuple(const core::ExternalObservation& a,
-                const core::ExternalObservation& b) {
-  return a.value_s == b.value_s && a.cost_s == b.cost_s &&
-         a.status == b.status;
-}
-
-}  // namespace
 
 SessionManager::AskResult SessionManager::ask(std::uint64_t id,
                                               std::size_t max_count) {
@@ -694,11 +724,6 @@ SessionManager::AskResult SessionManager::ask(std::uint64_t id,
   // The bridge pointer is written once before the entry is published and
   // never reassigned, so it is safe to read without mutex_.
   const auto bridge = entry->bridge;
-  if (bridge == nullptr) {
-    // Rehydrated terminal session: nothing will ever be pending again.
-    result.ok = true;
-    return result;
-  }
   const std::uint64_t now = now_tick_.load(std::memory_order_relaxed);
   result.grants = bridge->lease(std::max<std::size_t>(1, max_count), now,
                                 options_.lease_timeout_ticks);
@@ -734,37 +759,18 @@ SessionManager::TellResult SessionManager::tell(
     obs::count("service.observe.chaos_dropped");
     return result;
   }
+  // A terminal session's closed ledger still answers late executor
+  // retries truthfully from its recorded acks.
   const auto bridge = entry->bridge;
-  core::ExternalBridge::TellResult verdict;
-  if (bridge != nullptr) {
-    verdict = bridge->tell(index, observation);
-    if (verdict.verdict == core::TellVerdict::kAccepted &&
-        chaos::fail(chaos::Site::kObserveDelivery)) {
-      obs::count("service.observe.chaos_duplicated");
-      bridge->tell(index, observation);
-    }
-  } else {
-    // Evicted-then-rehydrated terminal session: the bridge is gone, but
-    // the journaled ack ledger still answers late executor retries
-    // truthfully.
-    core::SessionCheckpoint state;
-    try {
-      load_session_file(journal_path(id), state, core::LoadMode::kRecover);
-      core::canonicalize_journal(state);
-    } catch (const std::exception& e) {
-      result.error = std::string("journal unreadable: ") + e.what();
-      return result;
-    }
-    verdict.verdict = core::TellVerdict::kUnknown;
-    for (const auto& ack : state.observe_acks) {
-      if (ack.index != index) continue;
-      verdict.recorded = {ack.value_s, ack.cost_s, ack.status};
-      verdict.verdict = same_tuple(verdict.recorded, observation)
-                            ? core::TellVerdict::kDuplicate
-                            : core::TellVerdict::kConflict;
-      break;
-    }
+  const auto verdict = bridge->tell(index, observation);
+  if (verdict.verdict == core::TellVerdict::kAccepted &&
+      chaos::fail(chaos::Site::kObserveDelivery)) {
+    obs::count("service.observe.chaos_duplicated");
+    bridge->tell(index, observation);
   }
+  // The delivery that resolves a round hands the session its next step:
+  // ingest the round, propose and publish the next.
+  if (verdict.resolved) schedule_step(entry);
   result.verdict = verdict.verdict;
   result.recorded = verdict.recorded;
   switch (verdict.verdict) {
@@ -907,15 +913,9 @@ FleetRecovery SessionManager::recover_fleet() {
         static_cast<int>(state.evaluations.size()) >= spec.budget;
     if (tombstoned || complete) {
       // Terminal on disk: re-register without re-running.
-      auto entry = std::make_shared<Entry>();
-      entry->id = id;
-      entry->spec = spec;
-      entry->spec.checkpoint_path = journal_path(id);
-      entry->spec.sync = options_.sync;
-      entry->state =
-          tombstoned ? SessionState::kCancelled : SessionState::kDone;
-      entry->terminal_tick = now_tick_.load(std::memory_order_relaxed);
-      entry->progress = progress_from_journal(state);
+      const auto entry = terminal_entry(
+          id, spec, state,
+          tombstoned ? SessionState::kCancelled : SessionState::kDone);
       {
         std::scoped_lock lock(mutex_);
         sessions_[id] = entry;
@@ -998,7 +998,7 @@ void SessionManager::drain() {
 }
 
 void SessionManager::shutdown(bool cancel_live) {
-  std::vector<std::shared_ptr<core::ExternalBridge>> to_wake;
+  std::vector<std::shared_ptr<Entry>> waiting;
   {
     std::scoped_lock lock(mutex_);
     accepting_ = false;
@@ -1007,28 +1007,15 @@ void SessionManager::shutdown(bool cancel_live) {
       for (const auto& [id, entry] : sessions_) {
         if (!terminal(entry->state)) {
           entry->cancel.store(true, std::memory_order_relaxed);
-          if (entry->bridge != nullptr) to_wake.push_back(entry->bridge);
+          if (entry->bridge != nullptr) waiting.push_back(entry);
         }
       }
     }
   }
-  // Outside mutex_ (lock order: bridge → manager).  Engines parked in an
-  // ask/tell exchange never reach a round boundary on their own, so the
-  // cancel sweep must wake them explicitly.
-  for (const auto& bridge : to_wake) bridge->request_cancel();
+  // Ask/tell sessions waiting on their executors reach no round boundary
+  // by themselves: give each a step that ends it (outside mutex_).
+  for (const auto& entry : waiting) schedule_step(entry);
   drain();
-  // Runner threads decrement the terminal counters just before they
-  // unwind, so drain() can return a beat ahead of thread exit — join
-  // picks up the tail.  Safe to run twice (destructor after an explicit
-  // shutdown): the vector was swapped out the first time.
-  std::vector<std::thread> runners;
-  {
-    std::scoped_lock lock(mutex_);
-    runners.swap(external_threads_);
-  }
-  for (std::thread& runner : runners) {
-    if (runner.joinable()) runner.join();
-  }
 }
 
 }  // namespace robotune::service

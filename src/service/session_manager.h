@@ -36,15 +36,18 @@
 // reported in FleetRecovery::errors instead.
 //
 // Ask/tell sessions (spec mode=external, DESIGN.md §16): the manager
-// wraps the session's ExternalBridge in a lease ledger — `ask` hands
+// fronts the session's ExternalBridge, its lease ledger — `ask` hands
 // out suggestions under lease ids with tick deadlines, `tell` accepts
 // observations idempotently, and the `tick()` hook (driven by the
 // daemon's Server::set_tick, virtual-clock injectable in tests) reaps
-// abandoned leases back to the pending pool.  External sessions run on
-// dedicated threads, never on pool workers or the turnstile: they spend
-// their life parked waiting on remote executors, and parking them in a
-// pool slot would let an idle lease starve compute-bound internal
-// sessions (and cap concurrent external sessions at max_live).
+// abandoned leases back to the pending pool.  An external session holds
+// no thread while it waits on its executors: it runs as a sequence of
+// short steps on a second manager-owned pool of `max_live` workers, never
+// on the session pool or the turnstile.  Its first step runs selection
+// and publishes round 0; the `tell` that resolves a round submits the
+// next step (ingest → propose → publish); cancel and shutdown submit a
+// step that ends it; at most one step of a session runs at a time.  A
+// fleet of any size therefore costs 2 × max_live threads.
 //
 // Terminal-TTL eviction (ROADMAP 5): with terminal_ttl_ticks set,
 // done/cancelled sessions leave the in-memory map after the TTL — spec
@@ -64,7 +67,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -80,7 +82,8 @@ struct ServiceOptions {
   /// Directory holding per-session spec/journal files (created if
   /// missing).  Required.
   std::string root;
-  /// Sessions running concurrently (= manager pool workers).
+  /// Internal sessions running concurrently (= manager pool workers);
+  /// also the worker count of the pool that runs ask/tell steps.
   std::size_t max_live = 2;
   /// Admitted-but-not-yet-running sessions tolerated before start
   /// requests are rejected with "queue full".
@@ -336,10 +339,15 @@ class SessionManager {
     std::string error;
     std::chrono::steady_clock::time_point enqueued_at;
     double queue_wait_ms = 0.0;
-    /// Non-null for ask/tell sessions; created at admission, shared with
-    /// the dedicated runner thread, and kept after the session turns
-    /// terminal so late duplicate observes still ack idempotently.
+    /// Non-null for ask/tell sessions (rebuilt closed for a terminal one
+    /// read back from disk), so late duplicate observes always ack
+    /// idempotently.
     std::shared_ptr<core::ExternalBridge> bridge;
+    /// Ask/tell only: the assembled session, between its first step and
+    /// its last.  Touched by its steps alone, which never overlap.
+    std::unique_ptr<core::Session> session;
+    bool stepping = false;    ///< a step is queued or running (mutex_)
+    bool step_again = false;  ///< re-run the step when it ends (mutex_)
     /// tick() value when the session turned terminal (eviction clock).
     std::uint64_t terminal_tick = 0;
     std::uint64_t reclaimed = 0;  ///< leases the reaper expired
@@ -347,13 +355,29 @@ class SessionManager {
 
   StartResult admit(core::SessionSpec spec, bool derive_seed,
                     std::uint64_t fixed_id);
+  /// Queued → running (false: cancelled while queued, now terminal).
+  bool leave_queue(Entry& entry);
+  /// Running → its terminal state, with the terminal event journaled.
+  void settle(Entry& entry, const core::SessionOutcome& outcome);
+  /// An internal session's whole life, on one pool_ worker.
   void run_entry(const std::shared_ptr<Entry>& entry);
+  /// Queues a step of an ask/tell session on steps_, or — when one is
+  /// already queued or running — has that step go round again.
+  void schedule_step(const std::shared_ptr<Entry>& entry);
+  /// One step: open (first), or ingest → propose → publish; ends the
+  /// session when it finished or was cancelled.
+  void external_step(const std::shared_ptr<Entry>& entry);
   /// Looks the id up in the resident map, re-hydrating an evicted
   /// terminal session from its on-disk spec/journal if necessary.  Null
   /// (with `error` set) for ids that were never admitted or whose files
   /// turned unreadable.
   std::shared_ptr<Entry> find_or_rehydrate(std::uint64_t id,
                                            std::string* error);
+  /// A terminal session rebuilt from its spec and journal.
+  std::shared_ptr<Entry> terminal_entry(std::uint64_t id,
+                                        const core::SessionSpec& spec,
+                                        const core::SessionCheckpoint& state,
+                                        SessionState terminal_state);
   static SessionStatus status_of(const Entry& entry);
   /// Fills SessionStatus::pending/leased from the bridge.  Takes the
   /// bridge mutex, so it must be called WITHOUT mutex_ held (the
@@ -389,9 +413,6 @@ class SessionManager {
   /// Set by a cancelling shutdown so an admit() that reserved its slot
   /// before the sweep still sees the cancel when it inserts its entry.
   bool cancel_all_ = false;
-  /// Dedicated runner threads for ask/tell sessions (joined at
-  /// shutdown, after drain() has seen them reach a terminal state).
-  std::vector<std::thread> external_threads_;
   /// Virtual clock: advanced only by tick(), never by wall time.
   std::atomic<std::uint64_t> now_tick_{0};
   std::uint64_t reclaimed_ = 0;  ///< fleet-wide reaper expiries
@@ -402,6 +423,9 @@ class SessionManager {
   std::map<std::uint64_t, SessionState> evicted_;
   std::size_t evicted_done_ = 0;
   std::size_t evicted_cancelled_ = 0;
+  /// Runs ask/tell steps.  Declared last so it is joined first: a step's
+  /// final bookkeeping still takes mutex_ after drain() may have returned.
+  ThreadPool steps_;
 };
 
 /// Shared request dispatcher: the in-process LocalClient and the socket

@@ -56,8 +56,8 @@ TuningResult BestConfig::tune(sparksim::SparkObjective& objective, int budget,
   bool bounded = false;  // current round restricted around the incumbent?
 
   int remaining = budget;
+  bool cancelled = false;
   while (remaining > 0) {
-    if (paced_stop()) break;  // cooperative cancel at round boundary
     const int round = std::min(options_.sample_set_size, remaining);
     obs::count("bestconfig.rounds");
     obs::Span round_span("iteration", "tuners");
@@ -66,16 +66,29 @@ TuningResult BestConfig::tune(sparksim::SparkObjective& objective, int budget,
     const auto samples =
         dds(static_cast<std::size_t>(round), lo, hi, rng);
     const double round_start_best = incumbent;
-    // The whole sample set evaluates as one batch under the threshold
-    // captured at round start (per-DDS-round parallelism).
-    GuardPolicy round_guard(current_threshold(), 0.0);
-    const auto evals =
-        evaluate_batch_into(rounds(), objective, samples, round_guard, result);
-    for (const auto& e : evals) {
-      if (e.ok()) incumbent = std::min(incumbent, e.value_s);
+    // Each sub-batch evaluates under the threshold captured when it
+    // starts, so a fast incumbent tightens the kill threshold for the
+    // rest of the round.
+    for (std::size_t begin = 0; begin < samples.size();
+         begin += kSubBatchWidth) {
+      if (paced_stop()) {  // cooperative cancel between sub-batches
+        cancelled = true;
+        break;
+      }
+      const auto end =
+          std::min(samples.size(), begin + std::size_t{kSubBatchWidth});
+      GuardPolicy guard(current_threshold(), 0.0);
+      const auto evals = evaluate_batch_into(
+          rounds(), objective,
+          {samples.begin() + static_cast<std::ptrdiff_t>(begin),
+           samples.begin() + static_cast<std::ptrdiff_t>(end)},
+          guard, result);
+      for (const auto& e : evals) {
+        if (e.ok()) incumbent = std::min(incumbent, e.value_s);
+      }
+      remaining -= static_cast<int>(evals.size());
     }
-    remaining -= static_cast<int>(evals.size());
-    if (remaining <= 0) break;
+    if (cancelled || remaining <= 0) break;
 
     const bool improved = incumbent < round_start_best;
     if (!std::isfinite(incumbent) || (bounded && !improved)) {

@@ -15,8 +15,10 @@
 //
 // BestConfig also adapts its kill threshold at runtime (the best time
 // seen so far times a multiplier), reproduced here per §5.3.  A DDS round
-// evaluates as one batch, so the threshold is fixed at the start of each
-// round: with one round per session it stays at the static cap.
+// evaluates in sub-batches of a constant width, and the threshold is
+// recomputed between them, so it tightens within the paper's single
+// round too.  The width is never the worker count: the history is the
+// same at any parallelism.
 #pragma once
 
 #include "tuners/tuner.h"
@@ -34,6 +36,10 @@ struct BestConfigOptions {
 class BestConfig : public Tuner {
  public:
   explicit BestConfig(BestConfigOptions options = {}) : options_(options) {}
+
+  /// Evaluations per sub-batch of a DDS round; the threshold is
+  /// recomputed, and cancel and the turnstile polled, between them.
+  static constexpr int kSubBatchWidth = 10;
 
   std::string name() const override { return "BestConfig"; }
   TuningResult tune(sparksim::SparkObjective& objective, int budget,

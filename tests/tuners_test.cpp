@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 
+#include "exec/eval_scheduler.h"
 #include "sparksim/objective.h"
 #include "tuners/bestconfig.h"
 #include "tuners/gunther.h"
@@ -276,6 +277,45 @@ TEST(BestConfigTest, SmallSampleSetTriggersRecursiveBoundAndSearch) {
     min_late_distance = std::min(min_late_distance, d);
   }
   EXPECT_LT(min_late_distance, 0.25 * static_cast<double>(best.size()));
+}
+
+TEST(BestConfigTest, ThresholdTightensWithinThePaperRound) {
+  // Paper settings — one DDS round of 100 under a 480 s cap — on a fast
+  // workload: once a sub-batch finds a quick incumbent, the threshold
+  // (4x the incumbent) drops below the cap for the rest of the round, so
+  // a later run is stopped below 480 s.  Sub-batches have a constant
+  // width, so the history is the same at any worker count.
+  const auto run = [](int workers) {
+    sparksim::SparkObjective objective(
+        sparksim::ClusterSpec::paper_testbed(),
+        sparksim::make_workload(sparksim::WorkloadKind::kLogisticRegression,
+                                1),
+        sparksim::spark24_config_space(), 21);
+    exec::SchedulerOptions options;
+    options.parallelism = workers;
+    exec::EvalScheduler scheduler(options);
+    BestConfig bc;
+    bc.set_scheduler(&scheduler);
+    return bc.tune(objective, 100, 5);
+  };
+  const auto one = run(1);
+  const auto four = run(4);
+  ASSERT_EQ(one.history.size(), 100u);
+  ASSERT_EQ(four.history.size(), one.history.size());
+  bool stopped_below_cap = false;
+  for (std::size_t i = 0; i < one.history.size(); ++i) {
+    const auto& a = one.history[i];
+    const auto& b = four.history[i];
+    EXPECT_EQ(a.unit, b.unit) << "eval " << i;
+    EXPECT_EQ(a.value_s, b.value_s) << "eval " << i;
+    EXPECT_EQ(a.cost_s, b.cost_s) << "eval " << i;
+    EXPECT_EQ(a.status, b.status) << "eval " << i;
+    if (i >= static_cast<std::size_t>(BestConfig::kSubBatchWidth) &&
+        a.stopped_early && a.value_s < 480.0) {
+      stopped_below_cap = true;
+    }
+  }
+  EXPECT_TRUE(stopped_below_cap);
 }
 
 TEST(BestConfigTest, BudgetSmallerThanSampleSetStillWorks) {
