@@ -54,8 +54,8 @@ void usage(const char* argv0) {
       "  --socket PATH     listening socket      (default DIR/robotune.sock)\n"
       "  --max-live N      concurrent sessions   (default 2)\n"
       "  --queue N         pending-queue bound   (default 8)\n"
-      "  --slots N         turnstile compute slices, 0 = max-live\n"
-      "                    (default 0; 1 = strict round-robin)\n"
+      "  --slots N         concurrent session steps (threads),\n"
+      "                    0 = max-live (default 0; 1 = one at a time)\n"
       "  --seed N          service seed for derived session seeds\n"
       "                    (default 2024)\n"
       "  --lease-timeout N ask/tell lease lifetime in ticks (~seconds);\n"

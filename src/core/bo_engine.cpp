@@ -163,57 +163,59 @@ BoResult BoEngine::run(sparksim::SparkObjective& objective,
         exec::racing_signature(scheduler->racing()), /*external=*/false);
   // Cooperative cancellation (graceful SIGINT/SIGTERM): checked at round
   // boundaries only, so every completed evaluation is journaled and the
-  // checkpoint left behind resumes bit-identically.  The yield hook runs
-  // first — round boundaries are where the service layer's turnstile
-  // slices CPU between concurrent sessions.
+  // checkpoint left behind resumes bit-identically.
   const auto cancelled = [this] {
-    if (options_.yield) options_.yield();
     return options_.cancel != nullptr &&
            options_.cancel->load(std::memory_order_relaxed);
   };
   bool interrupted = false;
-  while (!(interrupted = cancelled())) {
-    const auto round = propose();
-    if (!round) break;
-    require(!external_,
-            "BoEngine: external-mode checkpoint has unreplayed budget; "
-            "host it in the daemon, whose ask/tell clients continue it — "
-            "standalone runs can only replay it");
-    std::vector<exec::EvalRequest> requests;
-    requests.reserve(round->points.size());
-    for (const auto& unit : round->points) {
-      requests.push_back({unit, round->threshold});
-    }
-    // Journal completions as they happen — possibly out of index
-    // order; canonicalize_journal restores replay order on resume.
-    const auto outcomes = scheduler->run_batch(
-        objective, requests, round->first_index,
-        [&](const exec::CompletedEval& done) {
-          if (session == nullptr) return;
-          session->state.evaluations.push_back(record_of(
-              tuners::to_evaluation(done.request->unit, *done.outcome),
-              done.eval_index));
-          if (done.outcome->status == sparksim::RunStatus::kKilled) {
-            session->state.kill_events.push_back(
-                KillEvent{done.eval_index, done.outcome->kill_reason});
-          }
-          if (session->flush) {
-            // Journal flushes run in completion order on whichever
-            // thread finished the evaluation — span attribution shows
-            // checkpoint-write stalls per worker.
-            obs::Span span("journal", "bo");
-            span.arg("eval_index", done.eval_index);
-            session->flush(session->state);
-          }
-        });
-    std::vector<tuners::Evaluation> live;
-    live.reserve(outcomes.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      live.push_back(tuners::to_evaluation(round->points[i], outcomes[i]));
-    }
-    ingest(std::move(live));
+  while (!(interrupted = cancelled()) && run_round(objective, *scheduler)) {
   }
   return finish(interrupted);
+}
+
+bool BoEngine::run_round(sparksim::SparkObjective& objective,
+                         exec::EvalScheduler& scheduler) {
+  const auto round = propose();
+  if (!round) return false;
+  require(!external_,
+          "BoEngine: external-mode checkpoint has unreplayed budget; "
+          "host it in the daemon, whose ask/tell clients continue it — "
+          "standalone runs can only replay it");
+  std::vector<exec::EvalRequest> requests;
+  requests.reserve(round->points.size());
+  for (const auto& unit : round->points) {
+    requests.push_back({unit, round->threshold});
+  }
+  // Journal completions as they happen — possibly out of index order;
+  // canonicalize_journal restores replay order on resume.
+  const auto outcomes = scheduler.run_batch(
+      objective, requests, round->first_index,
+      [this](const exec::CompletedEval& done) {
+        if (session_ == nullptr) return;
+        session_->state.evaluations.push_back(record_of(
+            tuners::to_evaluation(done.request->unit, *done.outcome),
+            done.eval_index));
+        if (done.outcome->status == sparksim::RunStatus::kKilled) {
+          session_->state.kill_events.push_back(
+              KillEvent{done.eval_index, done.outcome->kill_reason});
+        }
+        if (session_->flush) {
+          // Journal flushes run in completion order on whichever thread
+          // finished the evaluation — span attribution shows
+          // checkpoint-write stalls per worker.
+          obs::Span span("journal", "bo");
+          span.arg("eval_index", done.eval_index);
+          session_->flush(session_->state);
+        }
+      });
+  std::vector<tuners::Evaluation> live;
+  live.reserve(outcomes.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    live.push_back(tuners::to_evaluation(round->points[i], outcomes[i]));
+  }
+  ingest(std::move(live));
+  return true;
 }
 
 void BoEngine::begin(const std::vector<MemoizedConfig>& memoized,
@@ -389,9 +391,13 @@ void BoEngine::ingest_external(
       state.evaluations.push_back(record_of(history[i], i));
     }
     const std::uint64_t resolved_end = history.size();
-    std::erase_if(state.suggests, [resolved_end](const SuggestRecord& s) {
-      return s.index < resolved_end;
-    });
+    prune_suggests(state, resolved_end);
+    // A finished session leases nothing more: its completed journal
+    // carries no lease id, so its bytes do not depend on how often the
+    // daemon restarted.
+    if (resolved_end >= static_cast<std::uint64_t>(options_.budget)) {
+      state.lease_mark = 0;
+    }
     if (session_->flush) {
       obs::Span span("journal", "bo");
       span.arg("eval_index", resolved_end - 1);

@@ -12,10 +12,12 @@
 // degradation-ladder and journal-replay state, and does two things:
 // `propose()` hands out the next round of points and `ingest()` folds the
 // round's outcomes back in.  Who evaluates a round is the driver's
-// business.  There are two drivers: `run()` evaluates every round on an
-// exec::EvalScheduler, and an ask/tell session (core::Session, DESIGN.md
-// §16) publishes each round to external executors and ingests what they
-// report, one short step per round.
+// business.  `run_round()` evaluates one round on an exec::EvalScheduler
+// (propose → run_batch, journaling each completion → ingest); `run()` is
+// begin, run_round until finished, finish.  A daemon-hosted session
+// (core::Session, DESIGN.md §16) calls run_round once per step, or — in
+// ask/tell mode — publishes each round to external executors and ingests
+// what they report.
 #pragma once
 
 #include <atomic>
@@ -120,13 +122,6 @@ struct BoOptions {
   /// the checkpoint resumes bit-identically.  The engine only reads the
   /// flag; signal handlers may set it from any thread.
   const std::atomic<bool>* cancel = nullptr;
-  /// Cooperative fair-scheduling hook (the service layer's round-robin
-  /// turnstile): invoked at every round boundary, immediately before
-  /// `cancel` is polled.  The hook may block — that is how a session
-  /// manager slices CPU between concurrent sessions — but must not
-  /// mutate engine-visible state, so a null or no-op yield leaves the
-  /// trajectory byte-identical.
-  std::function<void()> yield;
   std::uint64_t seed = 2024;
 };
 
@@ -197,9 +192,9 @@ class BoEngine {
            BoOptions options = {});
 
   /// The internal driver: runs Algorithm 1 (batched when
-  /// options.batch_size > 1) as begin → {propose → scheduler → ingest}
-  /// until propose() says finished or `options.cancel` is set at a round
-  /// boundary.  `memoized` seeds the initial set (pass {} for an unseen
+  /// options.batch_size > 1) as begin → run_round until propose() says
+  /// finished or `options.cancel` is set at a round boundary.
+  /// `memoized` seeds the initial set (pass {} for an unseen
   /// workload).  `session`, when given, journals every completed
   /// evaluation and replays a previously journaled prefix (see
   /// SessionLog).  Every round runs through `scheduler` — or, when it is
@@ -224,6 +219,14 @@ class BoEngine {
   void begin(const std::vector<MemoizedConfig>& memoized,
              const BoObserver& observer, SessionLog* session,
              const std::string& racing, bool external);
+
+  /// One round on `scheduler`: propose → EvalScheduler::run_batch →
+  /// ingest, journaling every completed evaluation through the session
+  /// log as it lands.  False (nothing run) once propose() says finished.
+  /// A checkpoint an ask/tell session journaled is refused once its
+  /// journal runs out: only its external executors can continue it.
+  bool run_round(sparksim::SparkObjective& objective,
+                 exec::EvalScheduler& scheduler);
 
   /// The next round, or nullopt once the budget is spent or early
   /// stopping tripped.  Journaled evaluations are replayed in here, so a

@@ -45,8 +45,10 @@ void ExternalBridge::bind(SessionLog* log) {
         ExternalObservation{ack.value_s, ack.cost_s, ack.status};
   }
   // Lease ids stay monotonic across restarts: resume past the largest
-  // id any journal record ever carried.  The leases themselves are
-  // void (deadlines were relative to the dead daemon's clock).
+  // id any journal record ever carried — pending suggests, expiries,
+  // and the mark pruned suggests left behind.  The leases themselves
+  // are void (deadlines were relative to the dead daemon's clock).
+  next_lease_ = log_->state.lease_mark + 1;
   for (const auto& s : log_->state.suggests) {
     next_lease_ = std::max(next_lease_, s.lease + 1);
   }

@@ -200,6 +200,9 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session,
     ack.cost_s = p.d("observe_ack cost");
     p.done("observe_ack");
     session.observe_acks.push_back(ack);
+  } else if (kind == "lease_mark") {
+    session.lease_mark = p.u64("lease_mark");
+    p.done("lease_mark");
   } else if (kind == "lease_expired") {
     LeaseExpiry expiry;
     expiry.index = p.u64("lease_expired index");
@@ -242,17 +245,20 @@ std::size_t canonicalize_journal(SessionCheckpoint& session) {
   // suggestions the replayable prefix has NOT consumed.  (observe_acks
   // are deliberately untouched: the idempotency ledger outlives the
   // evaluations it acked.)
-  auto& suggests = session.suggests;
-  std::stable_sort(suggests.begin(), suggests.end(),
+  std::stable_sort(session.suggests.begin(), session.suggests.end(),
                    [](const SuggestRecord& a, const SuggestRecord& b) {
                      return a.index < b.index;
                    });
-  suggests.erase(std::remove_if(suggests.begin(), suggests.end(),
-                                [keep](const SuggestRecord& s) {
-                                  return s.index < keep;
-                                }),
-                 suggests.end());
+  prune_suggests(session, keep);
   return loaded - keep;
+}
+
+void prune_suggests(SessionCheckpoint& session, std::uint64_t resolved_end) {
+  std::erase_if(session.suggests, [&](const SuggestRecord& s) {
+    if (s.index >= resolved_end) return false;
+    session.lease_mark = std::max(session.lease_mark, s.lease);
+    return true;
+  });
 }
 
 std::size_t save_state(const ParameterSelectionCache& selection,
@@ -390,6 +396,10 @@ std::size_t save_session(const SessionCheckpoint& session,
   if (session.external) {
     p << "mode external";
     emit();
+    if (session.lease_mark != 0) {
+      p << "lease_mark " << session.lease_mark;
+      emit();
+    }
     for (const auto& s : session.suggests) {
       p << "suggest " << s.index << " " << s.lease << " " << s.unit.size();
       for (double u : s.unit) p << " " << u;

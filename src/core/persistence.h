@@ -41,6 +41,7 @@
 //   suggest <index> <lease> <dim> <unit...>
 //   observe_ack <index> <status> <value_s> <cost_s>
 //   lease_expired <index> <lease>
+//   lease_mark <lease>
 //
 // `seeding indexed` says every evaluation ran on a seed stream derived
 // from (seed, eval index); it is the only mode left.  A journal that says
@@ -55,7 +56,7 @@
 // mid-flight racing/deadline kill of evaluation <index> with its reason
 // ("deadline", "median-rule", "halving-rung").
 //
-// The last four kinds exist only for ask/tell sessions (DESIGN.md §16)
+// The last five kinds exist only for ask/tell sessions (DESIGN.md §16)
 // and are emitted only when `mode=external` — internal-mode journals
 // stay byte-identical to pre-external releases.  `mode external` pins
 // the session mode so resume refuses a cross-mode restart; `suggest`
@@ -64,7 +65,10 @@
 // daemon-tick-relative and deliberately NOT persisted: a restart voids
 // every outstanding lease); `observe_ack` records an accepted external
 // observation so a re-delivered observe after a crash acks
-// idempotently; `lease_expired` is the reaper's audit trail.
+// idempotently; `lease_expired` is the reaper's audit trail;
+// `lease_mark` is the largest lease id of a pruned suggest record, so a
+// restart between rounds resumes lease ids past every id ever issued
+// (absent in journals of earlier releases and in completed journals).
 //
 // The framing makes a torn write (power loss mid-checkpoint) or a bit
 // flip detectable at load time: in LoadMode::kRecover the loader
@@ -201,6 +205,10 @@ struct SessionCheckpoint {
   std::vector<ObserveAck> observe_acks;
   /// Reaper audit trail, in expiry order.
   std::vector<LeaseExpiry> lease_expiries;
+  /// Largest lease id among the suggest records pruned so far (0 =
+  /// none).  With the pending suggests and the expiries it bounds every
+  /// lease id the session ever issued, so a restart never reissues one.
+  std::uint64_t lease_mark = 0;
   /// Degradation-ladder rungs taken so far, in canonical (iteration)
   /// order.  Cleared and regenerated by the engine on resume.
   std::vector<DegradeEvent> degrade_events;
@@ -214,6 +222,10 @@ struct SessionCheckpoint {
 /// duplicate, leaving the longest replayable prefix 0,1,2,...  Returns
 /// the number of records dropped (0 for any sequential journal).
 std::size_t canonicalize_journal(SessionCheckpoint& session);
+
+/// Drops the suggest records of evaluations [0, resolved_end), whose
+/// eval records replace them, folding their lease ids into lease_mark.
+void prune_suggests(SessionCheckpoint& session, std::uint64_t resolved_end);
 
 /// Serializes both caches to a stream.  Returns the number of records.
 std::size_t save_state(const ParameterSelectionCache& selection,

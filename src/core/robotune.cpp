@@ -43,15 +43,14 @@ RoboTuneReport RoboTune::tune_report(sparksim::SparkObjective& objective,
 
 std::unique_ptr<BoEngine> RoboTune::begin_search(
     sparksim::SparkObjective& objective, int budget, std::uint64_t seed,
-    SessionLog* session, RoboTuneReport& report) {
+    SessionLog* session, const std::string& racing, bool external,
+    RoboTuneReport& report) {
   const auto memoized =
-      prepare(objective, budget, seed, session, /*external=*/true, report);
+      prepare(objective, budget, seed, session, external, report);
   auto engine = std::make_unique<BoEngine>(
       report.selected, objective.space().default_unit(),
       bo_options(budget, seed));
-  engine->begin(memoized, nullptr, session,
-                exec::racing_signature(exec::RacingOptions{}),
-                /*external=*/true);
+  engine->begin(memoized, nullptr, session, racing, external);
   return engine;
 }
 
@@ -77,9 +76,6 @@ std::vector<MemoizedConfig> RoboTune::prepare(
   }
 
   // ---- Parameter selection (checkpoint, cache hit, or RF pipeline) ------
-  // Selection is the session's longest non-yielding stretch, so give the
-  // service turnstile one boundary before it starts.
-  if (const auto& pace = pacing_yield()) pace();
   if (resuming) {
     report.selected = session->state.selected;
     report.selection_cost_s = session->state.selection_cost_s;
@@ -146,10 +142,6 @@ BoOptions RoboTune::bo_options(int budget, std::uint64_t seed) const {
   BoOptions bo = options_.bo;
   bo.budget = budget;
   bo.seed = seed;
-  // Tuner-level pacing (service layer) flows into the engine unless the
-  // caller already wired explicit hooks through RoboTuneOptions::bo.
-  if (bo.cancel == nullptr) bo.cancel = pacing_cancel();
-  if (!bo.yield) bo.yield = pacing_yield();
   return bo;
 }
 

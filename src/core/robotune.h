@@ -14,7 +14,8 @@
 // harnesses can drive it side by side with BestConfig, Gunther and RS.
 // tune_report runs the whole session with BoEngine's internal driver;
 // begin_search/end_search split it around the BO search for hosts that
-// drive the engine step by step (ask/tell sessions, DESIGN.md §16).
+// drive the engine a round at a time (core::Session: the CLI, and the
+// daemon's internal and ask/tell sessions, DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -81,13 +82,17 @@ class RoboTune : public tuners::Tuner {
                              SessionLog* session = nullptr,
                              exec::EvalScheduler* scheduler = nullptr);
 
-  /// tune_report up to the BO search, for an ask/tell session: selection
-  /// as in tune_report (still against the simulator — its generic LHS
-  /// probes are not something an external executor serves), the journal
-  /// pinned to ask/tell mode, and the engine begun on `session`.
+  /// tune_report up to the BO search, for a host that drives the engine
+  /// a round at a time: selection as in tune_report (against the
+  /// simulator even for an ask/tell session — its generic LHS probes are
+  /// not something an external executor serves), and the engine begun on
+  /// `session` under the exec::racing_signature its rounds run with.
+  /// `external` pins the journal to ask/tell mode.
   std::unique_ptr<BoEngine> begin_search(sparksim::SparkObjective& objective,
                                          int budget, std::uint64_t seed,
                                          SessionLog* session,
+                                         const std::string& racing,
+                                         bool external,
                                          RoboTuneReport& report);
   /// tune_report after the BO search: the engine's result into `report`,
   /// the best configurations into the memoization buffer.

@@ -13,6 +13,7 @@
 #include "common/error.h"
 #include "common/framed_line.h"
 #include "core/external.h"
+#include "obs/trace.h"
 #include "tuners/bestconfig.h"
 #include "tuners/gunther.h"
 #include "tuners/random_search.h"
@@ -435,8 +436,24 @@ bool Session::open_journal() {
 }
 
 SessionOutcome Session::run(
-    const std::atomic<bool>* cancel, std::function<void()> yield,
+    const std::atomic<bool>* cancel,
     std::function<void(const SessionProgress&)> progress) {
+  if (robotune_ != nullptr) {
+    obs::Span session_span("session", "core");
+    session_span.arg("tuner", tuner_->name());
+    session_span.arg("workload", sparksim::to_string(kind_));
+    session_span.arg("budget", spec_.budget);
+    session_span.arg("seed", spec_.seed);
+    // Cooperative cancellation at round boundaries: every completed
+    // evaluation is journaled, so the checkpoint resumes bit-identically.
+    bool live = open(std::move(progress));
+    bool interrupted = false;
+    while (live && !(interrupted = cancel != nullptr &&
+                                   cancel->load(std::memory_order_relaxed))) {
+      live = step();
+    }
+    return finish(interrupted);
+  }
   if (ran_) {
     SessionOutcome again;
     again.error = "session already ran";
@@ -445,96 +462,77 @@ SessionOutcome Session::run(
   ran_ = true;
   progress_ = std::move(progress);
   auto objective = make_objective();
-
   // parallel 0 (the default) and 1 both run inline on one worker.
+  exec::EvalScheduler scheduler(scheduler_options());
+  tuner_->set_pacing(cancel);
+  try {
+    tuner_->set_scheduler(&scheduler);
+    outcome_.result = tuner_->tune(objective, spec_.budget, spec_.seed);
+    tuner_->set_scheduler(nullptr);
+  } catch (const std::exception& e) {
+    outcome_.error = e.what();
+    return outcome_;
+  }
+  outcome_.interrupted =
+      cancel != nullptr && cancel->load(std::memory_order_relaxed) &&
+      static_cast<int>(outcome_.result.history.size()) < spec_.budget;
+  return conclude();
+}
+
+exec::SchedulerOptions Session::scheduler_options() const {
   exec::SchedulerOptions sched;
   sched.parallelism = std::max(1, spec_.parallel);
   sched.racing.mode = racing_mode_;
   sched.racing.deadline_s = spec_.eval_deadline;
-  exec::EvalScheduler scheduler(sched);
-
-  tuner_->set_pacing(cancel, std::move(yield));
-
-  if (robotune_ != nullptr) {
-    if (!open_journal()) return outcome_;
-    RoboTuneReport report;
-    try {
-      report = robotune_->tune_report(objective, spec_.budget, spec_.seed,
-                                      nullptr, journal(), &scheduler);
-    } catch (const std::exception& e) {
-      outcome_.error = e.what();
-      return outcome_;
-    }
-    outcome_.result = report.tuning;
-    outcome_.interrupted = report.bo.interrupted;
-    outcome_.report = std::move(report);
-    // Parallel sessions journal in completion order; re-flush the journal
-    // in canonical index order so the final bytes are identical for any
-    // worker count.  Already-canonical journals (every one-worker or q=1
-    // session) are left byte-for-byte untouched.
-    auto& evaluations = log_.state.evaluations;
-    bool canonical = true;
-    for (std::size_t i = 0; i < evaluations.size(); ++i) {
-      if (evaluations[i].index != i) {
-        canonical = false;
-        break;
-      }
-    }
-    if (journal() != nullptr && !canonical) {
-      canonicalize_journal(log_.state);
-      save_session_file(log_.state, spec_.checkpoint_path, spec_.sync);
-    }
-  } else {
-    try {
-      tuner_->set_scheduler(&scheduler);
-      outcome_.result = tuner_->tune(objective, spec_.budget, spec_.seed);
-      tuner_->set_scheduler(nullptr);
-    } catch (const std::exception& e) {
-      outcome_.error = e.what();
-      return outcome_;
-    }
-    outcome_.interrupted =
-        cancel != nullptr && cancel->load(std::memory_order_relaxed) &&
-        static_cast<int>(outcome_.result.history.size()) < spec_.budget;
-  }
-  return conclude();
+  return sched;
 }
 
-bool Session::open(ExternalBridge& bridge,
-                   std::function<void(const SessionProgress&)> progress) {
+bool Session::open(std::function<void(const SessionProgress&)> progress,
+                   ExternalBridge* bridge) {
   if (ran_) {
     outcome_.error = "session already ran";
     return false;
   }
   ran_ = true;
   progress_ = std::move(progress);
+  bridge_ = bridge;
   try {
-    require(robotune_ != nullptr && spec_.mode == "external",
+    require(robotune_ != nullptr,
+            "Session::open: only robotune sessions run in steps");
+    require(bridge_ == nullptr || spec_.mode == "external",
             "Session::open: not an ask/tell (mode=external) session");
     if (!open_journal()) return false;
     objective_ = std::make_unique<sparksim::SparkObjective>(make_objective());
+    std::string racing = exec::racing_signature(exec::RacingOptions{});
+    if (bridge_ == nullptr) {
+      scheduler_ = std::make_unique<exec::EvalScheduler>(scheduler_options());
+      racing = exec::racing_signature(scheduler_->racing());
+    }
     outcome_.report.emplace();
     engine_ = robotune_->begin_search(*objective_, spec_.budget, spec_.seed,
-                                      journal(), *outcome_.report);
-    bridge.bind(journal());
+                                      journal(), racing, bridge_ != nullptr,
+                                      *outcome_.report);
+    if (bridge_ == nullptr) return true;
+    bridge_->bind(journal());
     const auto round = engine_->propose();
     if (!round) return false;
-    bridge.publish(round->points, round->first_index);
+    bridge_->publish(round->points, round->first_index);
   } catch (const std::exception& e) {
     outcome_.error = e.what();
     return false;
   }
-  return step(bridge);
+  return step();
 }
 
-bool Session::step(ExternalBridge& bridge) {
+bool Session::step() {
   if (engine_ == nullptr) return false;
   try {
-    while (auto reported = bridge.collect()) {
+    if (bridge_ == nullptr) return engine_->run_round(*objective_, *scheduler_);
+    while (auto reported = bridge_->collect()) {
       engine_->ingest_external(*reported);
       const auto round = engine_->propose();
       if (!round) return false;
-      bridge.publish(round->points, round->first_index);
+      bridge_->publish(round->points, round->first_index);
     }
   } catch (const std::exception& e) {
     outcome_.error = e.what();
@@ -549,8 +547,25 @@ SessionOutcome Session::finish(bool interrupted) {
                           *outcome_.report);
     outcome_.result = outcome_.report->tuning;
     outcome_.interrupted = interrupted;
+    // Parallel sessions journal in completion order; re-flush the journal
+    // in canonical index order so the final bytes are identical for any
+    // worker count.  Already-canonical journals (every one-worker or q=1
+    // session, and every ask/tell one) are left byte-for-byte untouched.
+    const auto& evaluations = log_.state.evaluations;
+    bool canonical = true;
+    for (std::size_t i = 0; i < evaluations.size(); ++i) {
+      if (evaluations[i].index != i) {
+        canonical = false;
+        break;
+      }
+    }
+    if (journal() != nullptr && !canonical) {
+      canonicalize_journal(log_.state);
+      save_session_file(log_.state, spec_.checkpoint_path, spec_.sync);
+    }
   }
   engine_.reset();
+  scheduler_.reset();
   objective_.reset();
   if (!outcome_.ok()) return outcome_;
   return conclude();

@@ -5,10 +5,10 @@
 // run: workload, tuner, budget, seed, fault/racing/parallelism knobs,
 // and the durability wiring (journal path, resume/recover, fsync).  The
 // SessionFactory validates a spec and builds a Session: the objective,
-// evaluation scheduler, tuner, and checkpoint log are assembled exactly
-// the way the CLI always did, so a daemon-hosted session and a
-// standalone `robotune_cli` invocation with the same spec produce
-// byte-identical journals.
+// evaluation scheduler, tuner, and checkpoint log are assembled in one
+// place, and the CLI and the daemon drive the same open/step/finish, so
+// a daemon-hosted session and a standalone `robotune_cli` invocation
+// with the same spec produce byte-identical journals.
 //
 // Specs persist as a small framed file (one frame of the framed-line
 // codec, common/framed_line.h, after the header) so the daemon can
@@ -139,7 +139,7 @@ struct SessionOutcome {
 };
 
 /// One assembled tuning session.  It runs once: either through `run`,
-/// or — an ask/tell session hosted by the daemon — through `open`, the
+/// or — a robotune session hosted by the daemon — through `open`, the
 /// `step`s, and `finish`.
 class Session {
  public:
@@ -154,42 +154,45 @@ class Session {
   bool save_state(const std::string& path);
 
   /// Runs the session to completion (or to cancellation).  `cancel`
-  /// (nullable) is polled at round boundaries; `yield` (nullable) is the
-  /// fair-scheduling hook invoked at the same boundaries; `progress`
-  /// (nullable) fires on every journal flush with the incumbent best.
-  ///
-  /// When the session journals (spec.checkpoint_path non-empty) and ran
-  /// with batch parallelism, the journal is re-flushed in canonical
-  /// (eval-index) order on completion, so the final bytes are identical
-  /// for any worker count; one-worker sessions are already canonical and
-  /// their journal bytes are never rewritten.
+  /// (nullable) is polled at round boundaries; `progress` (nullable)
+  /// fires on every journal flush with the incumbent best.  A robotune
+  /// session runs as `open`, `step` until finished or cancelled, and
+  /// `finish`; the other tuners run their own loop.
   ///
   /// A journal an ask/tell session wrote replays here (the CLI resume
   /// path) but cannot make live progress: that needs its executors.
   SessionOutcome run(
       const std::atomic<bool>* cancel = nullptr,
-      std::function<void()> yield = nullptr,
       std::function<void(const SessionProgress&)> progress = nullptr);
 
-  // ---- ask/tell (spec mode=external) sessions, driven in steps --------
+  // ---- robotune sessions, driven in steps -------------------------------
   //
-  // Each call is one short step on the host's thread; nothing blocks on
-  // the executors.  `open` and `step` return true while the session
-  // waits on `bridge` for observations and false once it has ended
-  // (budget spent, or an error that `finish` reports).  The host runs at
-  // most one call of a session at a time and ends every session with
-  // `finish`.
+  // Each call is one short step on the host's thread.  Without a bridge
+  // (internal mode) every step evaluates one round on the session's own
+  // EvalScheduler.  With one (spec mode=external) `open` publishes the
+  // first round and each step ingests a round its executors resolved and
+  // publishes the next; nothing blocks on the executors.  `open` and
+  // `step` return true while the session has more to do and false once
+  // it has ended (budget spent, or an error that `finish` reports).  The
+  // host runs at most one call of a session at a time and ends every
+  // session with `finish`.
 
-  /// First step: loads (resumes) the journal, runs parameter selection,
-  /// restores the bridge's ledger, and publishes the first round.
-  bool open(ExternalBridge& bridge,
-            std::function<void(const SessionProgress&)> progress = nullptr);
-  /// Later steps: once `bridge` holds every observation of the published
-  /// round, ingests it and publishes the next round (a no-op before).
-  bool step(ExternalBridge& bridge);
+  /// First step: loads (resumes) the journal, runs parameter selection
+  /// and begins the engine; with `bridge`, also restores the bridge's
+  /// ledger and publishes the first round.
+  bool open(std::function<void(const SessionProgress&)> progress = nullptr,
+            ExternalBridge* bridge = nullptr);
+  /// Later steps: one round (internal), or — once the bridge holds every
+  /// observation of the published round — ingest it and publish the next
+  /// (a no-op before).
+  bool step();
   /// Ends the session and reports it; `interrupted` marks a stop before
-  /// the budget was spent (the journal resumes).  Call after closing the
-  /// bridge, so no service call touches the journal any more.
+  /// the budget was spent (the journal resumes).  A parallel session's
+  /// journal is re-flushed in canonical (eval-index) order here, so the
+  /// final bytes are identical for any worker count; one-worker sessions
+  /// are already canonical and their journal bytes are never rewritten.
+  /// An ask/tell host calls it after closing the bridge, so no service
+  /// call touches the journal any more.
   SessionOutcome finish(bool interrupted);
 
  private:
@@ -197,6 +200,7 @@ class Session {
   explicit Session(SessionSpec spec);
 
   sparksim::SparkObjective make_objective() const;
+  exec::SchedulerOptions scheduler_options() const;
   /// Loads the journal when resuming and wires its flush hook; false
   /// (with outcome_.error set) when the journal cannot be resumed.
   bool open_journal();
@@ -217,8 +221,10 @@ class Session {
   std::function<void(const SessionProgress&)> progress_;
   SessionLog log_;
   SessionOutcome outcome_;
-  // ---- ask/tell state, alive between open and finish --------------------
+  // ---- step state, alive between open and finish -----------------------
   std::unique_ptr<sparksim::SparkObjective> objective_;
+  std::unique_ptr<exec::EvalScheduler> scheduler_;  ///< internal mode
+  ExternalBridge* bridge_ = nullptr;                ///< ask/tell mode
   std::unique_ptr<BoEngine> engine_;
 };
 

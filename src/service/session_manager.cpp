@@ -79,50 +79,12 @@ const char* to_string(SessionState state) noexcept {
   return "unknown";
 }
 
-// ---- Turnstile -----------------------------------------------------------
-
-void Turnstile::wait_for_turn(std::unique_lock<std::mutex>& lock,
-                              std::uint64_t id) {
-  if (active_ < slots_ && waiting_.empty()) {
-    ++active_;
-    return;
-  }
-  waiting_.push_back(id);
-  cv_.wait(lock, [&] {
-    return active_ < slots_ && !waiting_.empty() && waiting_.front() == id;
-  });
-  waiting_.pop_front();
-  ++active_;
-  // With several slots the next waiter may be eligible too.
-  cv_.notify_all();
-}
-
-void Turnstile::enter(std::uint64_t id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  wait_for_turn(lock, id);
-}
-
-void Turnstile::yield(std::uint64_t id) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (waiting_.empty()) return;  // nobody wants the slice — keep running
-  --active_;
-  cv_.notify_all();
-  wait_for_turn(lock, id);
-}
-
-void Turnstile::leave() {
-  std::scoped_lock lock(mutex_);
-  --active_;
-  cv_.notify_all();
-}
-
 // ---- SessionManager ------------------------------------------------------
 
 SessionManager::SessionManager(ServiceOptions options)
     : options_(std::move(options)),
-      turnstile_(options_.slots == 0 ? options_.max_live : options_.slots),
-      pool_(std::max<std::size_t>(1, options_.max_live)),
-      steps_(std::max<std::size_t>(1, options_.max_live)) {
+      pool_(std::max<std::size_t>(
+          1, options_.slots == 0 ? options_.max_live : options_.slots)) {
   fs::create_directories(options_.root);
   if (!options_.events_path.empty()) {
     EventJournal::Options ev;
@@ -239,14 +201,17 @@ SessionManager::StartResult SessionManager::admit(core::SessionSpec spec,
   // always opens accept → enter before the worker's queue.leave.
   events_.emit(id, "admission.accept", fixed_id != 0 ? "readmission" : "");
   events_.emit(id, "queue.enter");
-  if (entry->bridge) {
-    // Ask/tell sessions never hold a worker while they wait on their
-    // executors: each one is a sequence of short steps on steps_, and
-    // its first step runs selection and publishes round 0.
-    schedule_step(entry);
-  } else {
-    pool_.submit([this, entry] { run_entry(entry); });
+  if (entry->bridge == nullptr) {
+    // At most max_live internal sessions run; the rest wait for a slot
+    // in FIFO order.  Ask/tell sessions hold no slot.
+    std::scoped_lock lock(mutex_);
+    if (live_internal_ >= std::max<std::size_t>(1, options_.max_live)) {
+      waiting_.push_back(entry);
+      return result;
+    }
+    ++live_internal_;
   }
+  schedule_step(entry);
   return result;
 }
 
@@ -262,14 +227,19 @@ bool SessionManager::leave_queue(Entry& entry) {
     events_.emit(entry.id, "queue.leave");
     events_.emit(entry.id, "session.cancelled", "cancelled while queued");
     obs::count("service.sessions.cancelled");
-    std::scoped_lock lock(mutex_);
-    --queued_;
-    ++cancelled_;
-    entry.state = SessionState::kCancelled;
-    entry.terminal_tick = now_tick_.load(std::memory_order_relaxed);
-    entry.queue_wait_ms = wait_ms;
-    sample_gauges_locked();
-    terminal_cv_.notify_all();
+    std::shared_ptr<Entry> next;
+    {
+      std::scoped_lock lock(mutex_);
+      --queued_;
+      ++cancelled_;
+      entry.state = SessionState::kCancelled;
+      entry.terminal_tick = now_tick_.load(std::memory_order_relaxed);
+      entry.queue_wait_ms = wait_ms;
+      next = release_live_locked(entry);
+      sample_gauges_locked();
+      terminal_cv_.notify_all();
+    }
+    if (next != nullptr) schedule_step(next);
     return false;
   }
   {
@@ -304,62 +274,49 @@ void SessionManager::settle(Entry& entry, const core::SessionOutcome& outcome) {
                : state == SessionState::kFailed ? "session.failed"
                                                 : "session.cancelled",
                outcome.error);
-  std::scoped_lock lock(mutex_);
-  --running_;
-  switch (state) {
-    case SessionState::kDone:
-      ++done_;
-      break;
-    case SessionState::kFailed:
-      ++failed_;
-      break;
-    default:
-      ++cancelled_;
-      break;
+  std::shared_ptr<Entry> next;
+  {
+    std::scoped_lock lock(mutex_);
+    --running_;
+    switch (state) {
+      case SessionState::kDone:
+        ++done_;
+        break;
+      case SessionState::kFailed:
+        ++failed_;
+        break;
+      default:
+        ++cancelled_;
+        break;
+    }
+    entry.state = state;
+    entry.terminal_tick = now_tick_.load(std::memory_order_relaxed);
+    entry.error = outcome.error;
+    entry.resumed = outcome.resumed;
+    entry.replayed = outcome.replayed;
+    entry.journal_recovered = outcome.journal_recovered;
+    next = release_live_locked(entry);
+    sample_gauges_locked();
+    // Notify under the lock: once drain() observes the counters at zero
+    // the manager may be destroyed, so an after-unlock notify could hit
+    // a dead condition variable.
+    terminal_cv_.notify_all();
   }
-  entry.state = state;
-  entry.terminal_tick = now_tick_.load(std::memory_order_relaxed);
-  entry.error = outcome.error;
-  entry.resumed = outcome.resumed;
-  entry.replayed = outcome.replayed;
-  entry.journal_recovered = outcome.journal_recovered;
-  sample_gauges_locked();
-  // Notify under the lock: once drain() observes the counters at zero
-  // the manager may be destroyed, so an after-unlock notify could hit
-  // a dead condition variable.
-  terminal_cv_.notify_all();
+  // The promoted session is still queued, so drain() cannot have
+  // returned: the manager is alive for this call.
+  if (next != nullptr) schedule_step(next);
 }
 
-void SessionManager::run_entry(const std::shared_ptr<Entry>& entry) {
-  if (!leave_queue(*entry)) return;
-  // Scope every metric and span of this session (and of its private
-  // evaluation pool — ThreadPool::submit propagates the scope) under
-  // session/<id>/.
-  obs::ScopedSession scope(entry->id);
-  obs::count("service.sessions.started");
-  const std::uint64_t id = entry->id;
-  turnstile_.enter(id);
-  core::SessionOutcome outcome;
-  try {
-    std::string create_error;
-    if (auto session = core::SessionFactory::create(entry->spec,
-                                                    &create_error)) {
-      outcome = session->run(
-          &entry->cancel, [this, id] { turnstile_.yield(id); },
-          [this, entry](const core::SessionProgress& p) {
-            std::scoped_lock lock(mutex_);
-            entry->progress = p;
-          });
-    } else {
-      outcome.error = create_error;
-    }
-  } catch (const std::exception& e) {
-    // One session's failure must never wedge the fleet: record it and
-    // keep the worker (and the turnstile slice accounting) healthy.
-    outcome.error = e.what();
+std::shared_ptr<SessionManager::Entry> SessionManager::release_live_locked(
+    const Entry& entry) {
+  if (entry.bridge != nullptr) return nullptr;
+  if (waiting_.empty()) {
+    --live_internal_;
+    return nullptr;
   }
-  turnstile_.leave();
-  settle(*entry, outcome);
+  auto next = std::move(waiting_.front());
+  waiting_.pop_front();
+  return next;
 }
 
 void SessionManager::schedule_step(const std::shared_ptr<Entry>& entry) {
@@ -374,49 +331,58 @@ void SessionManager::schedule_step(const std::shared_ptr<Entry>& entry) {
     }
     entry->stepping = true;
   }
-  steps_.submit([this, entry] {
-    for (;;) {
-      external_step(entry);
-      std::scoped_lock lock(mutex_);
-      if (!entry->step_again || terminal(entry->state)) {
-        entry->stepping = false;
-        return;
-      }
-      entry->step_again = false;
-    }
-  });
+  pool_.submit([this, entry] { step(entry); });
 }
 
-void SessionManager::external_step(const std::shared_ptr<Entry>& entry) {
-  core::ExternalBridge& bridge = *entry->bridge;
+void SessionManager::step(const std::shared_ptr<Entry>& entry) {
+  run_step(entry);
+  {
+    std::scoped_lock lock(mutex_);
+    if (terminal(entry->state) ||
+        (entry->bridge != nullptr && !entry->step_again)) {
+      entry->stepping = false;
+      return;
+    }
+    entry->step_again = false;
+  }
+  // Back of the queue: FIFO requeueing is what rotates the running
+  // sessions' rounds round-robin over the pool.
+  pool_.submit([this, entry] { step(entry); });
+}
+
+void SessionManager::run_step(const std::shared_ptr<Entry>& entry) {
   const bool first = entry->session == nullptr;
   if (first && !leave_queue(*entry)) return;
   obs::ScopedSession scope(entry->id);
   core::SessionOutcome outcome;
   try {
-    bool live = false;
+    bool live = true;
     if (first) {
       obs::count("service.sessions.started");
       entry->session = core::SessionFactory::create(entry->spec, &outcome.error);
       // The raw pointer is safe: the entry owns the session.
       live = entry->session != nullptr &&
-             entry->session->open(bridge, [this, e = entry.get()](
-                                              const core::SessionProgress& p) {
-               std::scoped_lock lock(mutex_);
-               e->progress = p;
-             });
-    } else {
-      live = entry->session->step(bridge);
+             entry->session->open(
+                 [this, e = entry.get()](const core::SessionProgress& p) {
+                   std::scoped_lock lock(mutex_);
+                   e->progress = p;
+                 },
+                 entry->bridge.get());
+    } else if (entry->bridge != nullptr ||
+               !entry->cancel.load(std::memory_order_relaxed)) {
+      // A cancelled internal session runs no further round; an ask/tell
+      // step still folds in a round its executors resolved.
+      live = entry->session->step();
     }
     if (live && !entry->cancel.load(std::memory_order_relaxed)) return;
     // Terminal: close the ledger first, so no service call touches the
     // journal while the session reads it one last time.  tell() keeps
     // answering late duplicate observes from the recorded-ack ledger.
-    bridge.close();
+    if (entry->bridge != nullptr) entry->bridge->close();
     if (entry->session != nullptr) outcome = entry->session->finish(live);
   } catch (const std::exception& e) {
     // One session's failure must never wedge the fleet.
-    bridge.close();
+    if (entry->bridge != nullptr) entry->bridge->close();
     outcome.error = e.what();
   }
   entry->session.reset();
@@ -448,7 +414,7 @@ bool SessionManager::cancel(std::uint64_t id, std::string* error) {
   std::FILE* f = std::fopen(tombstone_path(id).c_str(), "w");
   if (f != nullptr) std::fclose(f);
   events_.emit(id, "cancel.requested");
-  // An internal session sees the flag at its next round boundary; an
+  // An internal session sees the flag at its next step boundary; an
   // ask/tell session waiting on its executors gets a step that ends it.
   if (entry->bridge != nullptr) schedule_step(entry);
   return true;

@@ -10,17 +10,20 @@
 // byte-identical to `robotune_cli` running S, regardless of how many
 // sessions run beside it or how many workers the manager has.
 //
-// Admission control: at most `max_live` sessions run concurrently (the
-// pool's worker count); up to `max_pending` more wait in FIFO order;
-// beyond that, start requests are rejected — backpressure, not an
-// unbounded queue.
+// Admission control: at most `max_live` internal sessions run
+// concurrently; up to `max_pending` more wait in FIFO order; beyond that,
+// start requests are rejected — backpressure, not an unbounded queue.
 //
-// Fair scheduling: a turnstile grants `slots` compute slices; running
-// sessions yield at every round boundary (the BoOptions::yield hook) and
-// re-queue FIFO, so CPU rotates round-robin among runnable sessions
-// instead of letting the first admitted session run to completion.
-// The turnstile only re-orders *wall-clock* interleaving; per-session
-// results and journal bytes do not depend on slots or worker count.
+// One run queue: every session is a sequence of short steps on one
+// manager-owned pool of `slots` workers (`max_live` when slots is 0).  An
+// internal session's first step runs parameter selection, and each later
+// step runs one round (propose → EvalScheduler::run_batch → ingest);
+// after a step it is requeued at the back of the pool's FIFO queue, so
+// the rounds of the running sessions rotate round-robin instead of the
+// first admitted session running to completion.  Cancel and shutdown end
+// an internal session at its next step boundary.  The queue only orders
+// *wall-clock* interleaving; per-session results and journal bytes do
+// not depend on `slots`, `max_live` or worker count.
 //
 // Durability: every session journals into `<root>/session-<id>.journal`
 // with its spec beside it in `<root>/session-<id>.spec`.  After a crash,
@@ -41,13 +44,13 @@
 // observations idempotently, and the `tick()` hook (driven by the
 // daemon's Server::set_tick, virtual-clock injectable in tests) reaps
 // abandoned leases back to the pending pool.  An external session holds
-// no thread while it waits on its executors: it runs as a sequence of
-// short steps on a second manager-owned pool of `max_live` workers, never
-// on the session pool or the turnstile.  Its first step runs selection
-// and publishes round 0; the `tell` that resolves a round submits the
-// next step (ingest → propose → publish); cancel and shutdown submit a
-// step that ends it; at most one step of a session runs at a time.  A
-// fleet of any size therefore costs 2 × max_live threads.
+// no thread while it waits on its executors: its first step runs
+// selection and publishes round 0; the `tell` that resolves a round
+// submits the next step (ingest → propose → publish); cancel and
+// shutdown submit a step that ends it.  Ask/tell sessions are not capped
+// by max_live.  At most one step of any session runs at a time, so a
+// fleet of any size costs the pool's `slots` threads (plus the private
+// evaluation workers of internal sessions with parallel > 1).
 //
 // Terminal-TTL eviction (ROADMAP 5): with terminal_ttl_ticks set,
 // done/cancelled sessions leave the in-memory map after the TTL — spec
@@ -82,14 +85,13 @@ struct ServiceOptions {
   /// Directory holding per-session spec/journal files (created if
   /// missing).  Required.
   std::string root;
-  /// Internal sessions running concurrently (= manager pool workers);
-  /// also the worker count of the pool that runs ask/tell steps.
+  /// Internal sessions running concurrently; the rest wait queued.
   std::size_t max_live = 2;
   /// Admitted-but-not-yet-running sessions tolerated before start
   /// requests are rejected with "queue full".
   std::size_t max_pending = 8;
-  /// Concurrent compute slices granted by the turnstile; 0 = max_live
-  /// (no extra gating).  1 = strict round-robin time slicing.
+  /// Concurrent session steps: the worker count of the manager's one
+  /// pool.  0 = max_live.  1 = one step at a time, round-robin.
   std::size_t slots = 0;
   /// Service seed: session seeds are derived from (this, session id)
   /// when a start request asks for derivation.
@@ -172,28 +174,6 @@ struct FleetRecovery {
   std::size_t failed = 0;
   std::vector<std::string> quarantined_files;
   std::vector<std::string> errors;  ///< one line per failed session
-};
-
-/// FIFO turnstile: grants up to `slots` concurrent compute slices and
-/// rotates them round-robin among requesters at yield points.
-class Turnstile {
- public:
-  explicit Turnstile(std::size_t slots) : slots_(slots == 0 ? 1 : slots) {}
-
-  void enter(std::uint64_t id);
-  /// Round-boundary pacing: keeps the slice when nobody is waiting,
-  /// otherwise hands it to the longest-waiting session and re-queues.
-  void yield(std::uint64_t id);
-  void leave();
-
- private:
-  void wait_for_turn(std::unique_lock<std::mutex>& lock, std::uint64_t id);
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t slots_;
-  std::size_t active_ = 0;
-  std::deque<std::uint64_t> waiting_;
 };
 
 class SessionManager {
@@ -343,8 +323,8 @@ class SessionManager {
     /// read back from disk), so late duplicate observes always ack
     /// idempotently.
     std::shared_ptr<core::ExternalBridge> bridge;
-    /// Ask/tell only: the assembled session, between its first step and
-    /// its last.  Touched by its steps alone, which never overlap.
+    /// The assembled session, between its first step and its last.
+    /// Touched by its steps alone, which never overlap.
     std::unique_ptr<core::Session> session;
     bool stepping = false;    ///< a step is queued or running (mutex_)
     bool step_again = false;  ///< re-run the step when it ends (mutex_)
@@ -359,14 +339,22 @@ class SessionManager {
   bool leave_queue(Entry& entry);
   /// Running → its terminal state, with the terminal event journaled.
   void settle(Entry& entry, const core::SessionOutcome& outcome);
-  /// An internal session's whole life, on one pool_ worker.
-  void run_entry(const std::shared_ptr<Entry>& entry);
-  /// Queues a step of an ask/tell session on steps_, or — when one is
-  /// already queued or running — has that step go round again.
+  /// An internal session that turned terminal frees its live slot: the
+  /// longest-queued internal session takes it (returned, to be
+  /// scheduled once mutex_ is released).  Under mutex_.
+  std::shared_ptr<Entry> release_live_locked(const Entry& entry);
+  /// Queues a step of the session on pool_, or — when one is already
+  /// queued or running — has that step go round again.
   void schedule_step(const std::shared_ptr<Entry>& entry);
-  /// One step: open (first), or ingest → propose → publish; ends the
-  /// session when it finished or was cancelled.
-  void external_step(const std::shared_ptr<Entry>& entry);
+  /// Runs one step, then requeues the session at the back of pool_'s
+  /// queue while it has more to do: after every round of an internal
+  /// session, after a step a tell or cancel asked for meanwhile of an
+  /// ask/tell one.
+  void step(const std::shared_ptr<Entry>& entry);
+  /// One step: open (first), then one round (internal) or ingest →
+  /// propose → publish (ask/tell); ends the session when it finished or
+  /// was cancelled.
+  void run_step(const std::shared_ptr<Entry>& entry);
   /// Looks the id up in the resident map, re-hydrating an evicted
   /// terminal session from its on-disk spec/journal if necessary.  Null
   /// (with `error` set) for ids that were never admitted or whose files
@@ -393,8 +381,6 @@ class SessionManager {
   void quarantine(std::uint64_t id, FleetRecovery& recovery);
 
   ServiceOptions options_;
-  Turnstile turnstile_;
-  ThreadPool pool_;
   EventJournal events_;
   std::string events_error_;
   mutable std::mutex mutex_;
@@ -409,6 +395,10 @@ class SessionManager {
   std::size_t done_ = 0;
   std::size_t cancelled_ = 0;
   std::size_t failed_ = 0;
+  /// Internal sessions holding one of the max_live slots, and the
+  /// admitted ones waiting for a slot in FIFO order.
+  std::size_t live_internal_ = 0;
+  std::deque<std::shared_ptr<Entry>> waiting_;
   bool accepting_ = true;
   /// Set by a cancelling shutdown so an admit() that reserved its slot
   /// before the sweep still sees the cancel when it inserts its entry.
@@ -423,9 +413,10 @@ class SessionManager {
   std::map<std::uint64_t, SessionState> evicted_;
   std::size_t evicted_done_ = 0;
   std::size_t evicted_cancelled_ = 0;
-  /// Runs ask/tell steps.  Declared last so it is joined first: a step's
-  /// final bookkeeping still takes mutex_ after drain() may have returned.
-  ThreadPool steps_;
+  /// The run queue: runs every step of every session.  Declared last so
+  /// it is joined first: a step's final bookkeeping still takes mutex_
+  /// after drain() may have returned.
+  ThreadPool pool_;
 };
 
 /// Shared request dispatcher: the in-process LocalClient and the socket

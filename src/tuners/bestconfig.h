@@ -38,7 +38,7 @@ class BestConfig : public Tuner {
   explicit BestConfig(BestConfigOptions options = {}) : options_(options) {}
 
   /// Evaluations per sub-batch of a DDS round; the threshold is
-  /// recomputed, and cancel and the turnstile polled, between them.
+  /// recomputed, and cancel polled, between them.
   static constexpr int kSubBatchWidth = 10;
 
   std::string name() const override { return "BestConfig"; }

@@ -21,10 +21,10 @@ TuningResult RandomSearch::tune(sparksim::SparkObjective& objective,
   // RS keeps no model state that a flake could poison.
   GuardPolicy guard(static_threshold_s_, /*median_multiple=*/0.0);
   // RS has no sequential dependence at all (static threshold, no model),
-  // so it evaluates in rounds of a fixed width purely to give cancel and
-  // the fair-scheduling turnstile a boundary.  The width is a constant,
-  // never the worker count, and streams are index-derived, so the
-  // history is identical at any width or parallelism.
+  // so it evaluates in rounds of a fixed width purely to give cancel a
+  // boundary.  The width is a constant, never the worker count, and
+  // streams are index-derived, so the history is identical at any width
+  // or parallelism.
   std::vector<std::vector<double>> units;
   for (int done = 0; done < budget; done += kRoundWidth) {
     if (paced_stop()) break;  // cooperative cancel at round boundary

@@ -12,8 +12,8 @@ class RandomSearch : public Tuner {
   explicit RandomSearch(double static_threshold_s = 480.0)
       : static_threshold_s_(static_threshold_s) {}
 
-  /// Evaluations per round; cancel and the turnstile are polled between
-  /// rounds.  Results do not depend on it.
+  /// Evaluations per round; cancel is polled between rounds.  Results do
+  /// not depend on it.
   static constexpr int kRoundWidth = 16;
 
   std::string name() const override { return "RS"; }

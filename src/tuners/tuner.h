@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -119,28 +118,17 @@ class Tuner {
   /// The attached scheduler, or nullptr when none is.
   exec::EvalScheduler* scheduler() const noexcept { return scheduler_; }
 
-  /// Cooperative pacing for sessions hosted by the service layer.
-  /// `cancel` (nullable) is polled at round boundaries: when set, the
-  /// tuner returns early with every completed evaluation kept in the
-  /// result.  `yield` (nullable) is invoked at the same boundaries so a
-  /// fair scheduler can slice CPU between concurrent sessions; it must
-  /// not mutate tuner-visible state — with a null/no-op yield the
-  /// session's results are unchanged.
-  void set_pacing(const std::atomic<bool>* cancel,
-                  std::function<void()> yield) {
+  /// Cooperative cancellation: `cancel` (nullable) is polled at round
+  /// boundaries; when set, the tuner returns early with every completed
+  /// evaluation kept in the result.  RoboTune takes its flag through
+  /// BoOptions::cancel instead, or is stopped between its host's steps.
+  void set_pacing(const std::atomic<bool>* cancel) noexcept {
     cancel_ = cancel;
-    yield_ = std::move(yield);
-  }
-  const std::atomic<bool>* pacing_cancel() const noexcept { return cancel_; }
-  const std::function<void()>& pacing_yield() const noexcept {
-    return yield_;
   }
 
  protected:
-  /// Round-boundary pacing point: yields to the fair scheduler (if any),
-  /// then reports whether the session was cancelled.
+  /// Round-boundary pacing point: whether the session was cancelled.
   bool paced_stop() const {
-    if (yield_) yield_();
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
   }
 
@@ -154,7 +142,6 @@ class Tuner {
   exec::EvalScheduler* scheduler_ = nullptr;
   exec::EvalScheduler inline_scheduler_;
   const std::atomic<bool>* cancel_ = nullptr;
-  std::function<void()> yield_;
 };
 
 /// Evaluates a unit vector on the objective's sequential seed stream

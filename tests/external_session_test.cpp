@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -433,6 +434,57 @@ TEST(ExternalSessionTest, RestartRestoresPendingSetExactlyOnce) {
   drive_to_completion(manager, id);
   wait_for_state(manager, id, service::SessionState::kDone);
   EXPECT_EQ(slurp(manager.journal_path(id)), completed_bytes);
+}
+
+TEST(ExternalSessionTest, LeaseIdsStayMonotonicAcrossARestartBetweenRounds) {
+  // Resolve round 0 whole, let the session publish round 1 unleased, and
+  // freeze the image: no suggest record carries a lease id any more, yet
+  // the restarted daemon must issue ids past every one it handed out.
+  TempDir dir("lease-mark");
+  TempDir image("lease-mark-image");
+  std::uint64_t id = 0;
+  std::uint64_t highest = 0;
+  {
+    service::ServiceOptions options;
+    options.root = dir.path();
+    options.max_live = 1;
+    service::SessionManager manager(options);
+    const auto started = manager.start(external_spec(25, 6, 4));
+    ASSERT_TRUE(started.admitted) << started.error;
+    id = started.id;
+    const auto round = wait_for_grants(manager, id, 4);
+    for (const auto& grant : round) highest = std::max(highest, grant.lease);
+    tell_all(manager, id, round);
+    for (int i = 0; i < 20000; ++i) {
+      const auto status = manager.status(id);
+      ASSERT_TRUE(status.has_value());
+      if (status->evaluations == 4 && status->pending == 2) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto status = manager.status(id);
+    ASSERT_EQ(status->evaluations, 4u);
+    ASSERT_EQ(status->pending, 2u);
+    fs::copy(dir.path(), image.path(),
+             fs::copy_options::recursive |
+                 fs::copy_options::overwrite_existing);
+  }
+
+  service::ServiceOptions options;
+  options.root = image.path();
+  options.max_live = 1;
+  service::SessionManager manager(options);
+  ASSERT_EQ(manager.recover_fleet().readmitted, 1u);
+  const auto regrants = wait_for_grants(manager, id, 2);
+  for (const auto& grant : regrants) {
+    EXPECT_GT(grant.lease, highest) << "lease id reissued after a restart";
+  }
+  tell_all(manager, id, regrants);
+  wait_for_state(manager, id, service::SessionState::kDone);
+  // The mark is gone once the session is complete: a completed journal
+  // carries no lease id.
+  core::SessionCheckpoint state;
+  ASSERT_TRUE(core::load_session_file(manager.journal_path(id), state));
+  EXPECT_EQ(state.lease_mark, 0u);
 }
 
 // ---- chaos: dropped and duplicated deliveries ----------------------------

@@ -7,8 +7,9 @@
 // kill-restart run through a real SessionManager, and every answer and
 // every status reading is compared with the model after each step.
 //
-// The thread-bound test pins the other half of the hosting contract: an
-// ask/tell session holds no thread while it waits on its executors.
+// The thread-bound tests pin the other half of the hosting contract: an
+// ask/tell session holds no thread while it waits on its executors, and
+// internal sessions run as steps on the same one pool.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -144,19 +145,11 @@ class LedgerModel {
     return count;
   }
 
-  /// A fresh manager on the same files: runtime leases are void, the
-  /// clock restarts, and lease ids resume past the largest one the
-  /// journal still carries (the round's suggest records and expiries).
+  /// A fresh manager on the same files: runtime leases are void and the
+  /// clock restarts, but lease ids resume past every id ever issued —
+  /// also between rounds, when no suggest record carries one.
   void restart() {
-    std::uint64_t high = 0;
-    for (auto& [index, slot] : round) {
-      high = std::max(high, slot.lease);
-      slot.leased = false;
-    }
-    for (const std::uint64_t lease : expired_leases) {
-      high = std::max(high, lease);
-    }
-    next_lease = high + 1;
+    for (auto& [index, slot] : round) slot.leased = false;
     now = 0;
     reclaimed = 0;
   }
@@ -359,55 +352,93 @@ std::size_t thread_count() {
   return n;
 }
 
-TEST(LedgerModelTest, ExternalSessionsHoldNoThreadWhileWaiting) {
-  if (!fs::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+// The manager's one pool: `slots` threads, fewer than max_live.
+constexpr std::size_t kSlots = 2;
+
+/// Admits `internal` internal sessions (parallel 1) and 64 ask/tell
+/// sessions at max_live 4 and kSlots, drives every ask/tell session into
+/// the middle of its first round, waits for the internal ones to finish,
+/// and returns the peak thread count above the baseline seen meanwhile.
+std::size_t extra_threads_for(std::size_t internal) {
   // Selection trains its forests on the process-wide pool; create it up
   // front so it is part of the baseline.
   ThreadPool::global();
   const std::size_t before = thread_count();
-  const std::string root = temp_root("threads");
+  const std::string root = temp_root("threads-" + std::to_string(internal));
   service::ServiceOptions options;
   options.root = root;
-  options.max_live = 2;
-  options.max_pending = 64;
+  options.max_live = 4;
+  options.slots = kSlots;
+  options.max_pending = 64 + internal;
   std::size_t peak = 0;
   {
     service::SessionManager manager(options);
-    const std::size_t fixed = 2 * options.max_live;  // sessions + steps
+    std::vector<std::uint64_t> internal_ids;
+    for (std::uint64_t seed = 1; seed <= internal; ++seed) {
+      auto spec = spec_for(100 + seed);
+      spec.mode = "internal";
+      spec.parallel = 1;
+      spec.budget = 12;
+      const auto started = manager.start(spec);
+      EXPECT_TRUE(started.admitted) << started.error;
+      internal_ids.push_back(started.id);
+      peak = std::max(peak, thread_count());
+    }
     std::vector<std::uint64_t> ids;
     for (std::uint64_t seed = 1; seed <= 64; ++seed) {
       auto spec = spec_for(seed);
       spec.budget = 6;
       spec.batch = 4;
       const auto started = manager.start(spec);
-      ASSERT_TRUE(started.admitted) << started.error;
+      EXPECT_TRUE(started.admitted) << started.error;
       ids.push_back(started.id);
       peak = std::max(peak, thread_count());
     }
-    // Drive every session into the middle of its first round: lease it
-    // whole and resolve half of it.
+    // Drive every ask/tell session into the middle of its first round:
+    // lease it whole and resolve half of it.
     for (const std::uint64_t id : ids) {
       std::vector<core::LeaseGrant> grants;
       for (int spin = 0; spin < 60000 && grants.empty(); ++spin) {
         grants = manager.ask(id, 4).grants;
+        peak = std::max(peak, thread_count());
         if (grants.empty()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
       }
-      ASSERT_EQ(grants.size(), 4u) << "session " << id;
-      for (std::size_t i = 0; i < 2; ++i) {
-        ASSERT_TRUE(manager.tell(id, grants[i].index,
+      EXPECT_EQ(grants.size(), 4u) << "session " << id;
+      for (std::size_t i = 0; i < 2 && i < grants.size(); ++i) {
+        EXPECT_TRUE(manager.tell(id, grants[i].index,
                                  measurement(grants[i].index))
                         .ok);
       }
       peak = std::max(peak, thread_count());
     }
+    for (const std::uint64_t id : internal_ids) {
+      for (int spin = 0; spin < 60000; ++spin) {
+        peak = std::max(peak, thread_count());
+        if (terminal(manager.status(id)->state)) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(manager.status(id)->state, service::SessionState::kDone);
+    }
     const auto fleet = manager.service_status();
     EXPECT_EQ(fleet.running, 64u);
-    EXPECT_LE(peak, before + fixed + 2)
-        << "64 waiting ask/tell sessions must not cost a thread each";
+    EXPECT_EQ(fleet.done, internal);
   }
   fs::remove_all(root);
+  return peak > before ? peak - before : 0;
+}
+
+TEST(LedgerModelTest, ExternalSessionsHoldNoThreadWhileWaiting) {
+  if (!fs::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+  EXPECT_LE(extra_threads_for(0), kSlots + 2)
+      << "64 waiting ask/tell sessions must not cost a thread each";
+}
+
+TEST(LedgerModelTest, InternalSessionsShareTheOnePool) {
+  if (!fs::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+  EXPECT_LE(extra_threads_for(16), kSlots + 2)
+      << "internal sessions must run as steps on the manager's one pool";
 }
 
 }  // namespace

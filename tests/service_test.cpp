@@ -1,14 +1,13 @@
 // Tier-1 service-layer suite (DESIGN.md §13): wire protocol framing,
-// spec codec, admission control, fair scheduling, cancellation, and
+// spec codec, admission control, the run queue, cancellation, and
 // fleet-wide crash recovery.
 //
 // The determinism contract under test is the strongest one the daemon
 // makes: a hosted session's journal is byte-identical to a standalone
 // `robotune_cli`-style run of the same spec, regardless of how many
-// sessions run beside it, how many pool workers the manager has, or how
-// many turnstile slots rotate the CPU — and after a crash, every
-// recovered session finishes with exactly the bytes an uninterrupted
-// run would have produced.
+// sessions run beside it or how many pool threads run their steps — and
+// after a crash, every recovered session finishes with exactly the bytes
+// an uninterrupted run would have produced.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -1047,25 +1046,128 @@ TEST(ServiceEvictionTest, ThousandTerminalSessionsEvictToDiskAndRehydrate) {
   EXPECT_EQ(incremental.evicted, recount.evicted);
 }
 
-TEST(ServiceTurnstileTest, YieldRotatesFifoWithoutSelfDeadlock) {
-  // A lone session yields without blocking (keeps its slice), and two
-  // sessions on one slot hand the CPU back and forth in FIFO order.
-  service::Turnstile turnstile(1);
-  turnstile.enter(1);
-  turnstile.yield(1);  // nobody waiting: must not block
-  std::atomic<int> entered{0};
-  std::thread second([&] {
-    turnstile.enter(2);
-    entered.store(1);
-    turnstile.leave();
-  });
-  // The second session is parked until the first yields.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(entered.load(), 0);
-  turnstile.yield(1);  // hands the slice to session 2, re-queues FIFO
-  second.join();
-  EXPECT_EQ(entered.load(), 1);
-  turnstile.leave();
+// ------------------------------------------------------------ run queue ----
+
+TEST(ServiceRunQueueTest, RoundsAlternateBetweenSessionsOnOneSlot) {
+  // Two equal sessions on one pool thread: each step runs one round and
+  // requeues the session at the back, so when the first finishes the
+  // second is at most one round behind — not still at its start.
+  constexpr int kBudget = 12;
+  TempDir dir("rotate");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 2;
+  options.slots = 1;
+  service::SessionManager manager(options);
+  const auto a = manager.start(small_spec(31, kBudget));
+  const auto b = manager.start(small_spec(31, kBudget));
+  ASSERT_TRUE(a.admitted) << a.error;
+  ASSERT_TRUE(b.admitted) << b.error;
+  std::size_t behind = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const auto first = manager.status(a.id);
+    ASSERT_TRUE(first.has_value());
+    if (first->state == service::SessionState::kDone) {
+      behind = manager.status(b.id)->evaluations;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // Rounds are q = 1 wide (small_spec's default batch).
+  EXPECT_GE(behind, static_cast<std::size_t>(kBudget - 1));
+  manager.drain();
+  EXPECT_EQ(manager.status(b.id)->state, service::SessionState::kDone);
+}
+
+TEST(ServiceRunQueueTest, LoneSessionOnOneSlotNeverWaitsOnItself) {
+  // A step requeues its session onto the very pool it runs on; with one
+  // thread that must hand the slot back, not wait for it.
+  TempDir dir("lone");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 1;
+  options.slots = 1;
+  service::SessionManager manager(options);
+  const auto started = manager.start(small_spec(32));
+  ASSERT_TRUE(started.admitted) << started.error;
+  manager.drain();
+  const auto status = manager.status(started.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, service::SessionState::kDone) << status->error;
+  EXPECT_EQ(status->evaluations, 8u);
+}
+
+TEST(ServiceRunQueueTest, LiveCapHoldsWithSpareThreads) {
+  // Two pool threads but max_live 1: the second session leaves the queue
+  // only after the first is done — the cap is admission, not threads.
+  TempDir dir("cap");
+  service::ServiceOptions options;
+  options.root = dir.path();
+  options.max_live = 1;
+  options.slots = 2;
+  options.events_path = dir.file("events.jsonl");
+  std::vector<service::FleetEvent> events;
+  {
+    service::SessionManager manager(options);
+    ASSERT_TRUE(manager.start(small_spec(33)).admitted);
+    ASSERT_TRUE(manager.start(small_spec(34)).admitted);
+    manager.drain();
+    EXPECT_EQ(manager.service_status().done, 2u);
+  }
+  service::EventJournal::Options journal;
+  journal.path = options.events_path;
+  ASSERT_TRUE(service::EventJournal::load_chain(journal, events, nullptr));
+  std::uint64_t first_done = 0, second_leave = 0;
+  for (const auto& event : events) {
+    if (event.session == 1 && event.kind == "session.done") {
+      first_done = event.seq;
+    }
+    if (event.session == 2 && event.kind == "queue.leave") {
+      second_leave = event.seq;
+    }
+  }
+  ASSERT_NE(first_done, 0u);
+  ASSERT_NE(second_leave, 0u);
+  EXPECT_GT(second_leave, first_done);
+}
+
+TEST(ServiceRunQueueTest, ParallelRacingSessionMatchesStandalone) {
+  // A parallel racing session journals in completion order; its steps
+  // must leave the canonical bytes a standalone run leaves (the
+  // re-flush in Session::finish), interleaved with a neighbour.
+  TempDir dir("parallel");
+  std::vector<core::SessionSpec> specs;
+  std::vector<std::string> expected;
+  for (const std::uint64_t seed : {41, 42}) {
+    core::SessionSpec spec = small_spec(seed, /*budget=*/12);
+    spec.batch = 2;
+    spec.parallel = 3;
+    spec.racing = "median";
+    const std::string path =
+        dir.file("solo-" + std::to_string(seed) + ".journal");
+    run_standalone(spec, path);
+    specs.push_back(spec);
+    expected.push_back(slurp(path));
+  }
+  service::ServiceOptions options;
+  options.root = dir.file("fleet");
+  options.max_live = 2;
+  options.slots = 1;
+  service::SessionManager manager(options);
+  std::vector<std::uint64_t> ids;
+  for (const auto& spec : specs) {
+    const auto started = manager.start(spec);
+    ASSERT_TRUE(started.admitted) << started.error;
+    ids.push_back(started.id);
+  }
+  manager.drain();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto status = manager.status(ids[i]);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, service::SessionState::kDone) << status->error;
+    EXPECT_EQ(slurp(manager.journal_path(ids[i])), expected[i])
+        << "session " << ids[i];
+  }
 }
 
 }  // namespace

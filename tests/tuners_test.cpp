@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
+#include <thread>
 
 #include "exec/eval_scheduler.h"
 #include "sparksim/objective.h"
@@ -221,29 +223,39 @@ TEST(RandomSearchTest, DifferentSeedsExploreDifferently) {
 }
 
 TEST(RandomSearchTest, CancelStopsAtARoundBoundaryWithAPrefix) {
-  constexpr int kBudget = 3 * RandomSearch::kRoundWidth;
+  constexpr int kBudget = 8 * RandomSearch::kRoundWidth;
   auto full_objective = make_objective(8);
   RandomSearch rs;
   const auto full = rs.tune(full_objective, kBudget, 9);
   ASSERT_EQ(full.history.size(), static_cast<std::size_t>(kBudget));
+  const auto expect_round_prefix = [&](const TuningResult& cut) {
+    EXPECT_EQ(cut.history.size() % RandomSearch::kRoundWidth, 0u);
+    ASSERT_LE(cut.history.size(), full.history.size());
+    for (std::size_t i = 0; i < cut.history.size(); ++i) {
+      EXPECT_EQ(cut.history[i].unit, full.history[i].unit) << i;
+      EXPECT_EQ(cut.history[i].value_s, full.history[i].value_s) << i;
+    }
+  };
 
-  // Cancel from the fair-scheduling hook at the second round boundary:
-  // every yield is a boundary, and the one after the cancel never runs.
-  std::atomic<bool> cancel{false};
-  int yields = 0;
+  // Set before tune: the first boundary stops it with nothing run.
+  std::atomic<bool> cancel{true};
   RandomSearch paced;
-  paced.set_pacing(&cancel, [&] {
-    if (++yields == 2) cancel.store(true);
-  });
+  paced.set_pacing(&cancel);
   auto objective = make_objective(8);
-  const auto cut = paced.tune(objective, kBudget, 9);
-  EXPECT_EQ(yields, 2);
-  ASSERT_EQ(cut.history.size(),
-            static_cast<std::size_t>(RandomSearch::kRoundWidth));
-  for (std::size_t i = 0; i < cut.history.size(); ++i) {
-    EXPECT_EQ(cut.history[i].unit, full.history[i].unit) << i;
-    EXPECT_EQ(cut.history[i].value_s, full.history[i].value_s) << i;
-  }
+  const auto none = paced.tune(objective, kBudget, 9);
+  EXPECT_TRUE(none.history.empty());
+
+  // Tripped from another thread mid-run: wherever it lands, the cut is
+  // whole rounds and a prefix of the uncancelled run.
+  cancel.store(false);
+  auto tripped_objective = make_objective(8);
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    cancel.store(true);
+  });
+  const auto cut = paced.tune(tripped_objective, kBudget, 9);
+  canceller.join();
+  expect_round_prefix(cut);
 }
 
 // --------------------------------------------------------- BestConfig ----
