@@ -684,11 +684,6 @@ int main(int argc, char** argv) {
                  options.chaos_profile.c_str());
     return 2;
   }
-  if (chaos_profile.active() && !chaos::kCompiledIn && !options.quiet) {
-    std::printf(
-        "note: built with ROBOTUNE_CHAOS=OFF — --chaos-profile is a "
-        "no-op\n");
-  }
   chaos::injector().configure(chaos_profile, options.seed);
 
   // Install the graceful-shutdown handlers before any tuning starts.
@@ -704,11 +699,6 @@ int main(int argc, char** argv) {
   const bool observing =
       !options.trace_path.empty() || !options.metrics_path.empty();
   if (!options.trace_path.empty()) obs::tracer().set_enabled(true);
-  if (observing && !obs::kCompiledIn && !options.quiet) {
-    std::printf(
-        "note: built with ROBOTUNE_OBS=OFF — trace/metrics output will "
-        "be empty\n");
-  }
 
   std::string why;
   auto session = core::SessionFactory::create(spec, &why);
@@ -716,10 +706,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", why.c_str());
     return 2;
   }
-  if (!options.state_path.empty() &&
-      session->load_state(options.state_path) && !options.quiet) {
-    std::printf("loaded memoized state from %s\n",
-                options.state_path.c_str());
+  if (!options.state_path.empty()) {
+    try {
+      if (session->load_state(options.state_path) && !options.quiet) {
+        std::printf("loaded memoized state from %s\n",
+                    options.state_path.c_str());
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot load memoized state: %s\n", e.what());
+      return 2;
+    }
   }
 
   // Resume probe: report what the journal holds before replaying it (the

@@ -10,8 +10,8 @@
 //
 // Invariants, mirroring sparksim::FaultProfile:
 //  * off means OFF: an unconfigured injector costs one relaxed atomic
-//    load per hook and injects nothing, and -DROBOTUNE_CHAOS=OFF compiles
-//    every hook down to `false` — byte-identical behavior either way;
+//    load per hook and injects nothing — byte-identical behavior to a
+//    tree without the hooks;
 //  * decisions are a pure function of (chaos seed, site, invocation
 //    counter) for canonical-thread sites, or (chaos seed, site, caller
 //    index) for `fail_indexed` — never of wall clock or scheduling — so
@@ -56,14 +56,7 @@
 #include <stdexcept>
 #include <string>
 
-#ifndef ROBOTUNE_CHAOS_ENABLED
-#define ROBOTUNE_CHAOS_ENABLED 1
-#endif
-
 namespace robotune::chaos {
-
-/// True when the library was built with the chaos hooks compiled in.
-inline constexpr bool kCompiledIn = ROBOTUNE_CHAOS_ENABLED != 0;
 
 enum class Site : int {
   kCholesky = 0,
@@ -118,8 +111,6 @@ struct ChaosProfile {
   static bool parse(const std::string& text, ChaosProfile& out);
 };
 
-#if ROBOTUNE_CHAOS_ENABLED
-
 class ChaosInjector {
  public:
   /// Arms the injector: decisions derive from (seed, site, counter).
@@ -153,25 +144,6 @@ class ChaosInjector {
   std::array<std::atomic<std::uint64_t>, kSiteCount> counters_{};
   std::array<std::atomic<std::uint64_t>, kSiteCount> injected_{};
 };
-
-#else  // ROBOTUNE_CHAOS_ENABLED
-
-/// Compiled-out stub: hooks are constant-false, arming is a no-op.
-class ChaosInjector {
- public:
-  void configure(const ChaosProfile&, std::uint64_t) {}
-  void disarm() {}
-  bool enabled() const noexcept { return false; }
-  const ChaosProfile& profile() const noexcept { return profile_; }
-  bool should_fail(Site) noexcept { return false; }
-  bool should_fail(Site, std::uint64_t) noexcept { return false; }
-  std::uint64_t injections(Site) const noexcept { return 0; }
-
- private:
-  ChaosProfile profile_;
-};
-
-#endif  // ROBOTUNE_CHAOS_ENABLED
 
 /// Process-wide injector all hooks consult.
 ChaosInjector& injector();

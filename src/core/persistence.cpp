@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/chaos.h"
@@ -15,7 +16,8 @@
 namespace robotune::core {
 
 namespace {
-constexpr const char* kHeader = "robotune-state v1";
+constexpr std::string_view kStateHeader = "robotune-state v2";
+constexpr std::string_view kUnframedStateHeader = "robotune-state v1";
 constexpr std::string_view kSessionHeader = "robotune-session v3";
 
 // Whitespace tokenizer over one record payload.  Every numeric
@@ -214,6 +216,38 @@ void parse_session_record(RecordParser& p, SessionCheckpoint& session,
   }
 }
 
+// The records of one state file, held until the whole file has parsed.
+struct StateRecords {
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> selections;
+  std::vector<std::pair<std::string, MemoizedConfig>> memos;
+};
+
+// Parses one state record payload into `records`; like
+// parse_session_record, a record that throws stores nothing.
+void parse_state_record(RecordParser& p, StateRecords& records) {
+  const std::string_view kind = p.token("record kind");
+  if (kind == "selection") {
+    const std::string_view workload = p.token("workload");
+    std::vector<std::size_t> indices(p.u64("selection count"));
+    for (auto& idx : indices) {
+      idx = static_cast<std::size_t>(p.u64("selection index"));
+    }
+    p.done("selection");
+    records.selections.emplace_back(std::string(workload),
+                                    std::move(indices));
+  } else if (kind == "memo") {
+    const std::string_view workload = p.token("workload");
+    MemoizedConfig config;
+    config.value_s = p.d("memo value");
+    config.unit.resize(p.u64("memo dims"));
+    for (auto& u : config.unit) u = p.d("memo unit coordinate");
+    p.done("memo");
+    records.memos.emplace_back(std::string(workload), std::move(config));
+  } else {
+    p.fail("unknown record kind: '" + std::string(kind) + "'");
+  }
+}
+
 }  // namespace
 
 std::size_t canonicalize_journal(SessionCheckpoint& session) {
@@ -264,61 +298,64 @@ void prune_suggests(SessionCheckpoint& session, std::uint64_t resolved_end) {
 std::size_t save_state(const ParameterSelectionCache& selection,
                        const ConfigMemoizationBuffer& memo,
                        std::ostream& out) {
-  out << kHeader << "\n";
+  out << kStateHeader << "\n";
+  std::ostringstream p;
+  p.precision(17);
+  const std::string empty;
   std::size_t records = 0;
-  for (const auto& [workload, indices] : selection.entries()) {
-    out << "selection " << workload << " " << indices.size();
-    for (std::size_t idx : indices) out << " " << idx;
-    out << "\n";
+  const auto emit = [&] {
+    write_frame(out, p.view());
+    p.str(empty);
     ++records;
+  };
+  for (const auto& [workload, indices] : selection.entries()) {
+    p << "selection " << workload << " " << indices.size();
+    for (std::size_t idx : indices) p << " " << idx;
+    emit();
   }
-  out.precision(17);
   for (const auto& [workload, configs] : memo.entries()) {
     for (const auto& config : configs) {
-      out << "memo " << workload << " " << config.value_s << " "
-          << config.unit.size();
-      for (double u : config.unit) out << " " << u;
-      out << "\n";
-      ++records;
+      p << "memo " << workload << " " << config.value_s << " "
+        << config.unit.size();
+      for (double u : config.unit) p << " " << u;
+      emit();
     }
   }
   return records;
 }
 
 std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
-                       ConfigMemoizationBuffer& memo) {
-  std::string line;
-  require(static_cast<bool>(std::getline(in, line)),
-          "load_state: empty stream");
-  require(line == kHeader, "load_state: unrecognized header: " + line);
-  std::size_t records = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream row(line);
-    std::string kind, workload;
-    row >> kind >> workload;
-    if (kind == "selection") {
-      std::size_t count = 0;
-      row >> count;
-      std::vector<std::size_t> indices(count);
-      for (auto& idx : indices) row >> idx;
-      require(!row.fail(), "load_state: malformed selection row");
-      selection.store(workload, std::move(indices));
-      ++records;
-    } else if (kind == "memo") {
-      MemoizedConfig config;
-      std::size_t dims = 0;
-      row >> config.value_s >> dims;
-      config.unit.resize(dims);
-      for (auto& u : config.unit) row >> u;
-      require(!row.fail(), "load_state: malformed memo row");
-      memo.store(workload, std::move(config));
-      ++records;
-    } else {
-      throw InvalidArgument("load_state: unknown record kind: " + kind);
-    }
+                       ConfigMemoizationBuffer& memo,
+                       const std::string& source) {
+  const std::string text(std::istreambuf_iterator<char>(in), {});
+  if (text.substr(0, text.find('\n')) == kUnframedStateHeader) {
+    throw InvalidArgument(
+        "load_state: " + source +
+        ": robotune-state v1 (the unframed format of earlier releases) is "
+        "no longer read; delete the file to start from empty caches");
   }
-  return records;
+  StateRecords records;
+  const FramedWalk walk = walk_framed_lines(
+      text, kStateHeader, LoadMode::kStrict, "load_state: " + source,
+      [&](std::string_view payload, std::string& why) {
+        try {
+          RecordParser parser(payload);
+          parse_state_record(parser, records);
+          return true;
+        } catch (const InvalidArgument& e) {
+          why = e.what();
+          return false;
+        }
+      });
+  // Merge only once the whole file has parsed: a refused file leaves
+  // both caches as they were.
+  for (auto& [workload, indices] : records.selections) {
+    selection.store(workload, std::move(indices));
+  }
+  for (auto& [workload, config] : records.memos) {
+    memo.store(workload, std::move(config));
+  }
+  return walk.records;
 }
 
 bool save_state_file(const ParameterSelectionCache& selection,
@@ -334,7 +371,7 @@ bool load_state_file(const std::string& path,
                      ConfigMemoizationBuffer& memo) {
   std::ifstream in(path);
   if (!in) return false;
-  load_state(in, selection, memo);
+  load_state(in, selection, memo, path);
   return true;
 }
 

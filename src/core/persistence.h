@@ -4,12 +4,16 @@
 // The paper's memoized sampling (§3.2) reuses knowledge "from prior
 // sessions"; for a deployed tuner those sessions span process lifetimes,
 // so the parameter-selection cache and the configuration memoization
-// buffer can be saved to and restored from a plain-text file.
+// buffer can be saved to and restored from a state file.  Like the
+// checkpoint below, it is a bare header followed by frames of the
+// framed-line codec (common/framed_line.h), one record per frame:
 //
-// Format (line oriented, whitespace separated, '#' comments):
-//   robotune-state v1
-//   selection <workload> <n> <idx...>
-//   memo <workload> <value_s> <dim> <unit...>
+//   robotune-state v2
+//   <frame: selection <workload> <n> <idx...>>
+//   <frame: memo <workload> <value_s> <dim> <unit...>>
+//
+// A `robotune-state v1` file (the unframed format of earlier releases)
+// is refused with InvalidArgument.
 //
 // Session checkpoints make the tuning loop itself restartable: the BO
 // engine journals every completed evaluation, and a session killed
@@ -234,9 +238,12 @@ std::size_t save_state(const ParameterSelectionCache& selection,
 
 /// Restores both caches from a stream previously written by save_state.
 /// Existing entries are kept; loaded entries overwrite/merge per workload.
-/// Throws InvalidArgument on malformed input.  Returns records loaded.
+/// Throws InvalidArgument on a bad frame, a malformed record or a v1
+/// file, naming `source`; nothing is merged unless every record parses.
+/// Returns records loaded.
 std::size_t load_state(std::istream& in, ParameterSelectionCache& selection,
-                       ConfigMemoizationBuffer& memo);
+                       ConfigMemoizationBuffer& memo,
+                       const std::string& source = "<stream>");
 
 /// Convenience file wrappers.  Return false when the file cannot be
 /// opened (a missing state file is not an error for a fresh install).

@@ -150,6 +150,7 @@ class Session {
 
   /// Loads / saves the cross-session memoized state (selection cache +
   /// config buffer); no-ops (returning false) for non-robotune tuners.
+  /// Loading throws InvalidArgument for a damaged or v1 state file.
   bool load_state(const std::string& path);
   bool save_state(const std::string& path);
 

@@ -60,8 +60,6 @@ const std::vector<double>& seconds_buckets() {
   return bounds;
 }
 
-#if ROBOTUNE_OBS_ENABLED
-
 struct MetricsRegistry::Shard {
   /// Taken only by the owning thread (per write) and by snapshot()/
   /// reset() (per merge), so writes never contend with each other —
@@ -241,8 +239,6 @@ void MetricsRegistry::reset() {
   for (const auto& shard : shards_) shard->clear();
   gauges_.clear();
 }
-
-#endif  // ROBOTUNE_OBS_ENABLED
 
 MetricsRegistry& metrics() {
   static MetricsRegistry registry;

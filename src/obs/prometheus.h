@@ -13,8 +13,7 @@
 // (cross-shard FP addition order would be scheduling-dependent).
 //
 // Like obs/summary.h this is plain data-shuffling over snapshots: it
-// compiles identically with ROBOTUNE_OBS=OFF (snapshots are simply
-// empty) and never touches the live registry.
+// never touches the live registry.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,7 @@
 // Both consumers keep the determinism split explicit: the JSON document
 // has separate "logical" and "runtime" sections, and the summary table
 // labels its wall-clock block non-deterministic.  This module is plain
-// data-shuffling over snapshots, so it compiles identically with
-// ROBOTUNE_OBS=OFF (everything is simply empty).
+// data-shuffling over snapshots.
 #pragma once
 
 #include <iosfwd>

@@ -211,20 +211,13 @@ Response dispatch_inner(SessionManager& manager, const Request& request,
 
 Response dispatch_request(SessionManager& manager, const Request& request,
                           std::atomic<bool>* shutdown_flag) {
-  // The clock reads compile out with ROBOTUNE_OBS=OFF: without a metric
-  // sink the measurement would be pure overhead on the hot path.
-  if constexpr (obs::kCompiledIn) {
-    const auto begin = std::chrono::steady_clock::now();
-    Response response = dispatch_inner(manager, request, shutdown_flag);
-    const double latency_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - begin)
-            .count();
-    record_rpc(request.verb, request.session, response.ok, latency_us);
-    return response;
-  } else {
-    return dispatch_inner(manager, request, shutdown_flag);
-  }
+  const auto begin = std::chrono::steady_clock::now();
+  Response response = dispatch_inner(manager, request, shutdown_flag);
+  const double latency_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - begin)
+                                .count();
+  record_rpc(request.verb, request.session, response.ok, latency_us);
+  return response;
 }
 
 }  // namespace robotune::service

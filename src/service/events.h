@@ -49,9 +49,9 @@
 // grouped by session id with global sequence numbers and timestamps
 // stripped — the projection the byte-identity contract is stated over.
 //
-// The journal is a durability/ops artifact like the session journals:
-// it is *not* gated by ROBOTUNE_OBS (an OBS=OFF daemon still records
-// its fleet history), only by ServiceOptions::events_path being set.
+// The journal is a durability/ops artifact like the session journals,
+// not instrumentation: it is written whenever ServiceOptions::events_path
+// is set.
 #pragma once
 
 #include <cstdint>

@@ -606,7 +606,6 @@ std::shared_ptr<SessionManager::Entry> SessionManager::find_or_rehydrate(
 }
 
 void SessionManager::sample_gauges_locked() {
-  if constexpr (!obs::kCompiledIn) return;
   obs::set_gauge("runtime.service.queue.depth",
                  static_cast<double>(queued_));
   obs::set_gauge("runtime.service.sessions.live",

@@ -99,8 +99,8 @@ struct ServiceOptions {
   /// Journal durability for every hosted session.
   core::SyncPolicy sync = core::SyncPolicy::kNone;
   /// Fleet event journal path (DESIGN.md §14); empty = no event
-  /// journal.  Not gated by ROBOTUNE_OBS — it is a durability/ops
-  /// artifact like the session journals, not instrumentation.
+  /// journal.  It is a durability/ops artifact like the session
+  /// journals, not instrumentation.
   std::string events_path;
   /// Event journal rotation: size threshold and rotated files kept.
   std::size_t events_max_bytes = 256 * 1024;

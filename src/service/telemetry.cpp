@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 
 #include "obs/prometheus.h"
@@ -45,6 +46,33 @@ double histogram_p(const obs::MetricsSnapshot& snapshot,
   return h == nullptr ? 0.0 : obs::histogram_quantile(*h, q);
 }
 
+/// The metric names record_rpc writes for one verb, built once.
+struct VerbMetricNames {
+  std::string requests;
+  std::string errors;
+  std::string latency_us;
+};
+
+/// Names for `verb`; every verb outside kVerbs shares the `unknown`
+/// entry.
+const VerbMetricNames& verb_metric_names(std::string_view verb) {
+  static const std::vector<VerbMetricNames> table = [] {
+    std::vector<VerbMetricNames> names;
+    auto add = [&](std::string_view v) {
+      const std::string base = "service.rpc." + std::string(v);
+      names.push_back({base, base + ".errors",
+                       "runtime." + base + ".latency_us"});
+    };
+    for (const std::string_view v : kVerbs) add(v);
+    add("unknown");
+    return names;
+  }();
+  for (std::size_t i = 0; i < std::size(kVerbs); ++i) {
+    if (verb == kVerbs[i]) return table[i];
+  }
+  return table.back();
+}
+
 void append_line(std::string& out, const std::string& label,
                  const std::string& value) {
   out += "  ";
@@ -72,13 +100,6 @@ const std::vector<double>& queue_wait_buckets_ms() {
   return bounds;
 }
 
-bool known_verb(std::string_view verb) {
-  for (const std::string_view candidate : kVerbs) {
-    if (verb == candidate) return true;
-  }
-  return false;
-}
-
 std::string session_suggest_metric(std::uint64_t session_id) {
   return "runtime.service.rpc.suggest.latency_us.session." +
          std::to_string(session_id);
@@ -93,12 +114,12 @@ void record_rpc(std::string_view verb, std::uint64_t session, bool ok,
                 double latency_us) {
   // Unknown verbs collapse into one name: arbitrary client strings must
   // never grow the registry without bound.
-  const std::string v(known_verb(verb) ? verb : std::string_view("unknown"));
-  obs::count("service.rpc." + v);
-  if (!ok) obs::count("service.rpc." + v + ".errors");
-  obs::metrics().observe("runtime.service.rpc." + v + ".latency_us",
-                         latency_us, rpc_latency_buckets_us());
-  if (v == "suggest" && session != 0) {
+  const VerbMetricNames& names = verb_metric_names(verb);
+  obs::count(names.requests);
+  if (!ok) obs::count(names.errors);
+  obs::metrics().observe(names.latency_us, latency_us,
+                         rpc_latency_buckets_us());
+  if (verb == "suggest" && session != 0) {
     obs::metrics().observe(session_suggest_metric(session), latency_us,
                            rpc_latency_buckets_us());
   }

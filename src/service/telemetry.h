@@ -17,11 +17,6 @@
 //
 // Unknown verbs are counted under service.rpc.unknown — a garbage
 // stream must not grow the registry without bound.
-//
-// With ROBOTUNE_OBS=OFF every recorder below no-ops through the metric
-// stubs and the `metrics` verb still answers (session states and
-// progress come from the SessionManager, which is not obs-gated); only
-// the counter/histogram content is empty.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +35,6 @@ const std::vector<double>& rpc_latency_buckets_us();
 
 /// Queue-wait bucket bounds in milliseconds (0.1 ms .. 60 s).
 const std::vector<double>& queue_wait_buckets_ms();
-
-/// True for the protocol's verb set (including `metrics`).
-bool known_verb(std::string_view verb);
 
 /// Records one dispatched request: per-verb counter, error counter,
 /// fleet latency histogram, and — for suggest — the per-session latency

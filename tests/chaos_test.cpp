@@ -74,7 +74,6 @@ TEST_F(ChaosTest, UnconfiguredInjectorNeverFires) {
 }
 
 TEST_F(ChaosTest, SameSeedReplaysTheSameDecisionSequence) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.cholesky_failure = 0.5;
   const auto draw_sequence = [&](std::uint64_t seed) {
@@ -98,7 +97,6 @@ TEST_F(ChaosTest, SameSeedReplaysTheSameDecisionSequence) {
 }
 
 TEST_F(ChaosTest, IndexedDecisionsArePureFunctionsOfTheIndex) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.pool_task_failure = 0.5;
   chaos::injector().configure(p, 99);
@@ -115,7 +113,6 @@ TEST_F(ChaosTest, IndexedDecisionsArePureFunctionsOfTheIndex) {
 }
 
 TEST_F(ChaosTest, RateEndpointsAreExact) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.cholesky_failure = 1.0;
   chaos::injector().configure(p, 1);
@@ -131,7 +128,6 @@ TEST_F(ChaosTest, RateEndpointsAreExact) {
 }
 
 TEST_F(ChaosTest, CholeskyHookThrowsTheRealRecoveryException) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   linalg::Matrix identity(2, 2);
   identity(0, 0) = identity(1, 1) = 1.0;
   chaos::ChaosProfile p;
@@ -144,7 +140,6 @@ TEST_F(ChaosTest, CholeskyHookThrowsTheRealRecoveryException) {
 }
 
 TEST_F(ChaosTest, JournalWriteHookFailsWithoutTouchingTheFile) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   const std::string path = "/tmp/robotune_chaos_journal_test.ckpt";
   std::remove(path.c_str());
   core::SessionCheckpoint session;
@@ -166,7 +161,6 @@ TEST_F(ChaosTest, JournalWriteHookFailsWithoutTouchingTheFile) {
 }
 
 TEST_F(ChaosTest, PoolTaskFailurePropagatesIdenticallyAtAnyWorkerCount) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile p;
   p.pool_task_failure = 0.3;
   constexpr std::size_t kTasks = 32;

@@ -82,7 +82,6 @@ class DegradeTest : public ::testing::Test {
 // ladder — and the session must still complete its full 100-eval budget
 // on space-filling fallback proposals.
 TEST_F(DegradeTest, ForcedSurrogateFailureCompletesTheFullBudget) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   obs::metrics().reset();
   chaos::ChaosProfile profile;
   ASSERT_TRUE(chaos::ChaosProfile::parse("surrogate", profile));
@@ -105,14 +104,12 @@ TEST_F(DegradeTest, ForcedSurrogateFailureCompletesTheFullBudget) {
   EXPECT_TRUE(has_rung(events, "fallback_proposal"));
 
   // ...and surfaced as observability counters.
-  if (obs::kCompiledIn) {
-    const auto snapshot = obs::metrics().snapshot();
-    EXPECT_GT(snapshot.counters.at("degrade.gp_refit"), 0u);
-    EXPECT_GT(snapshot.counters.at("degrade.gp_noise_inflate"), 0u);
-    EXPECT_GT(snapshot.counters.at("degrade.gp_skip"), 0u);
-    EXPECT_GT(snapshot.counters.at("degrade.fallback_proposal"), 0u);
-    EXPECT_GT(snapshot.counters.at("chaos.cholesky"), 0u);
-  }
+  const auto snapshot = obs::metrics().snapshot();
+  EXPECT_GT(snapshot.counters.at("degrade.gp_refit"), 0u);
+  EXPECT_GT(snapshot.counters.at("degrade.gp_noise_inflate"), 0u);
+  EXPECT_GT(snapshot.counters.at("degrade.gp_skip"), 0u);
+  EXPECT_GT(snapshot.counters.at("degrade.fallback_proposal"), 0u);
+  EXPECT_GT(snapshot.counters.at("chaos.cholesky"), 0u);
   EXPECT_GT(chaos::injector().injections(chaos::Site::kCholesky), 0u);
 }
 
@@ -120,7 +117,6 @@ TEST_F(DegradeTest, ForcedSurrogateFailureCompletesTheFullBudget) {
 // best configuration, and the serialized journal — whether the batches
 // ran on one worker or four.
 TEST_F(DegradeTest, DegradedSessionsAreByteIdenticalAtAnyParallelism) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile profile;
   ASSERT_TRUE(chaos::ChaosProfile::parse("surrogate", profile));
 
@@ -153,7 +149,6 @@ TEST_F(DegradeTest, DegradedSessionsAreByteIdenticalAtAnyParallelism) {
 // reproducible: decisions are a pure function of (seed, site, counter),
 // never of scheduling.
 TEST_F(DegradeTest, PartialChaosSoakIsDeterministic) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile profile;
   ASSERT_TRUE(chaos::ChaosProfile::parse("cholesky=0.25,acq=0.25", profile));
 
@@ -181,7 +176,6 @@ TEST_F(DegradeTest, PartialChaosSoakIsDeterministic) {
 // one: kill it mid-budget, resume under the same chaos seed, and the
 // continuation matches the uninterrupted degraded run.
 TEST_F(DegradeTest, DegradedSessionResumesIdentically) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile profile;
   ASSERT_TRUE(chaos::ChaosProfile::parse("surrogate", profile));
 
@@ -209,7 +203,6 @@ TEST_F(DegradeTest, DegradedSessionResumesIdentically) {
 // ------------------------------------------- add_point rollback ----------
 
 TEST_F(DegradeTest, AddPointRollsBackWhenRefactorizationFails) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   gp::GpOptions options;
   options.optimize_hyperparameters = false;
   // A signal variance of 1e8 swamps both the 1e-10 jitter floor and the

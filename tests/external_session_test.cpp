@@ -490,9 +490,6 @@ TEST(ExternalSessionTest, LeaseIdsStayMonotonicAcrossARestartBetweenRounds) {
 // ---- chaos: dropped and duplicated deliveries ----------------------------
 
 TEST(ExternalSessionTest, ChaosDroppedAndDuplicatedObservesStillComplete) {
-  if (!chaos::kCompiledIn) {
-    GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
-  }
   TempDir dir("chaos");
   service::ServiceOptions options;
   options.root = dir.path();

@@ -350,7 +350,6 @@ TEST_F(GpScaleTest, WorkspaceSurvivesTierAndSizeChanges) {
 // Long add_point streaks must reallocate the factor O(log n) times, not
 // O(n): the allocation counter is the regression guard.
 TEST_F(GpScaleTest, AddPointReservesGeometrically) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_OBS=OFF";
   obs::metrics().reset();
 
   const std::size_t dims = 3, adds = 200;
@@ -382,7 +381,6 @@ TEST_F(GpScaleTest, AddPointReservesGeometrically) {
 // At q = 8 the purge must run on the rank-1 path: downdates counted,
 // zero full refits.
 TEST_F(GpScaleTest, BatchPurgeUsesDowndatesNotRefits) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_OBS=OFF";
   obs::metrics().reset();
 
   auto objective = make_objective();
@@ -443,16 +441,14 @@ TEST_F(GpScaleTest, SparseTierSessionsAreByteIdenticalAcrossWorkers) {
     return std::make_pair(std::move(report), serialize(session.state));
   };
 
-  if (obs::kCompiledIn) obs::metrics().reset();
+  obs::metrics().reset();
   const auto [report1, journal1] = run_at(1);
   const auto [report4, journal4] = run_at(4);
   expect_results_equal(report1.tuning, report4.tuning);
   EXPECT_EQ(journal1, journal4);
-  if (obs::kCompiledIn) {
-    // The sparse tier really carried part of the session.
-    const auto snapshot = obs::metrics().snapshot();
-    EXPECT_GT(snapshot.counters.at("bo.surrogate.rff_fits"), 0u);
-  }
+  // The sparse tier really carried part of the session.
+  const auto snapshot = obs::metrics().snapshot();
+  EXPECT_GT(snapshot.counters.at("bo.surrogate.rff_fits"), 0u);
 }
 
 // ------------------------------------------------ chaos rungs -----------
@@ -460,7 +456,6 @@ TEST_F(GpScaleTest, SparseTierSessionsAreByteIdenticalAcrossWorkers) {
 // remove_point's only failure (a chaos-injected downdate loss) fires
 // before any mutation: the model must be bitwise unchanged and usable.
 TEST_F(GpScaleTest, RemovePointStrongGuaranteeUnderChaos) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   const std::size_t dims = 3;
   std::vector<std::vector<double>> xs;
   std::vector<double> ys;
@@ -501,7 +496,6 @@ TEST_F(GpScaleTest, RemovePointStrongGuaranteeUnderChaos) {
 // `rff_fallback` rung and the session still completes its budget on the
 // exact ladder.
 TEST_F(GpScaleTest, ChaosExercisesRffFallbackRung) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   chaos::ChaosProfile profile;
   ASSERT_TRUE(chaos::ChaosProfile::parse("cholesky=0.25", profile));
   chaos::injector().configure(profile, 5);
@@ -524,8 +518,7 @@ TEST_F(GpScaleTest, ChaosExercisesRffFallbackRung) {
 // A failed purge downdate lands the journaled `cl_purge` rung, counts a
 // full refit, and the session still completes.
 TEST_F(GpScaleTest, ChaosExercisesClPurgeRung) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
-  if (obs::kCompiledIn) obs::metrics().reset();
+  obs::metrics().reset();
   chaos::ChaosProfile profile;
   ASSERT_TRUE(chaos::ChaosProfile::parse("cholesky=0.25", profile));
   chaos::injector().configure(profile, 5);
@@ -539,10 +532,8 @@ TEST_F(GpScaleTest, ChaosExercisesClPurgeRung) {
 
   EXPECT_EQ(report.tuning.history.size(), 50u);
   EXPECT_TRUE(has_rung(session.state.degrade_events, "cl_purge"));
-  if (obs::kCompiledIn) {
-    const auto snapshot = obs::metrics().snapshot();
-    EXPECT_GE(snapshot.counters.at("bo.cl_purge.refits"), 1u);
-  }
+  const auto snapshot = obs::metrics().snapshot();
+  EXPECT_GE(snapshot.counters.at("bo.cl_purge.refits"), 1u);
 }
 
 }  // namespace

@@ -191,7 +191,6 @@ TEST(GpTest, HyperparameterFitImprovesMarginalLikelihood) {
 }
 
 TEST(GpTest, HyperfitThatNeverFactorizesKeepsTheWarmStart) {
-  if (!chaos::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_CHAOS=OFF";
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   for (int i = 0; i < 8; ++i) {
@@ -215,12 +214,10 @@ TEST(GpTest, HyperfitThatNeverFactorizesKeepsTheWarmStart) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(after[i], before[i], 1e-12) << i;
   }
-  if (obs::kCompiledIn) {
-    const auto counters = obs::metrics().snapshot().counters;
-    EXPECT_GT(counters.at("gp.hyperfit.lml_evals"), 0u);
-    EXPECT_EQ(counters.at("gp.hyperfit.lml_failures"),
-              counters.at("gp.hyperfit.lml_evals"));
-  }
+  const auto counters = obs::metrics().snapshot().counters;
+  EXPECT_GT(counters.at("gp.hyperfit.lml_evals"), 0u);
+  EXPECT_EQ(counters.at("gp.hyperfit.lml_failures"),
+            counters.at("gp.hyperfit.lml_evals"));
 }
 
 TEST(GpTest, ScaleInvariantThroughStandardization) {

@@ -4,10 +4,6 @@
 // detached mode and at --parallel 1 and 4; and the *logical* metrics
 // section is identical for any worker count (wall-clock timing lives in
 // the tracer and the `runtime.` section, which carry no such contract).
-//
-// The suite also runs — and must pass — with ROBOTUNE_OBS=OFF, where it
-// degenerates to "empty snapshots are equal": the same code paths
-// compile against the no-op stubs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -134,11 +130,9 @@ TEST_F(ObsDeterminismTest, TracingOnVsOffByteIdentical) {
     obs::tracer().set_enabled(false);
 
     expect_runs_equal(baseline, traced);
-    if (obs::kCompiledIn) {
-      // The traced run actually recorded something — this is not a
-      // vacuous comparison against a disabled tracer.
-      EXPECT_FALSE(obs::tracer().records().empty());
-    }
+    // The traced run actually recorded something — this is not a
+    // vacuous comparison against a disabled tracer.
+    EXPECT_FALSE(obs::tracer().records().empty());
   }
 }
 
@@ -168,22 +162,18 @@ TEST_F(ObsDeterminismTest, LogicalMetricsIdenticalAcrossWorkerCounts) {
   }
   EXPECT_EQ(logical[0], logical[1]);
 
-  if (obs::kCompiledIn) {
-    // Sanity: the logical section carries the session's event totals.
-    EXPECT_EQ(logical[0].counters.at("evals.total"),
-              static_cast<std::uint64_t>(kBudget));
-    EXPECT_EQ(logical[0].counters.at("exec.evals_dispatched"),
-              static_cast<std::uint64_t>(kBudget));
-    EXPECT_GE(logical[0].counters.at("objective.attempts"),
-              static_cast<std::uint64_t>(kBudget));
-    EXPECT_EQ(logical[0].histograms.at("evals.value_s").total,
-              static_cast<std::uint64_t>(kBudget));
-    // And no scheduling-dependent name leaked into it.
-    for (const auto& [name, value] : logical[0].counters) {
-      EXPECT_FALSE(obs::is_runtime_metric(name)) << name;
-    }
-  } else {
-    EXPECT_TRUE(logical[0].empty());
+  // Sanity: the logical section carries the session's event totals.
+  EXPECT_EQ(logical[0].counters.at("evals.total"),
+            static_cast<std::uint64_t>(kBudget));
+  EXPECT_EQ(logical[0].counters.at("exec.evals_dispatched"),
+            static_cast<std::uint64_t>(kBudget));
+  EXPECT_GE(logical[0].counters.at("objective.attempts"),
+            static_cast<std::uint64_t>(kBudget));
+  EXPECT_EQ(logical[0].histograms.at("evals.value_s").total,
+            static_cast<std::uint64_t>(kBudget));
+  // And no scheduling-dependent name leaked into it.
+  for (const auto& [name, value] : logical[0].counters) {
+    EXPECT_FALSE(obs::is_runtime_metric(name)) << name;
   }
 }
 
@@ -198,7 +188,6 @@ TEST_F(ObsDeterminismTest, HyperfitCountersIdenticalAcrossWorkerCounts) {
     run_session(parallelism, /*with_faults=*/true);
     logical.push_back(obs::metrics().snapshot().logical());
   }
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with ROBOTUNE_OBS=OFF";
   const auto count = [](const obs::MetricsSnapshot& s, const char* name) {
     const auto it = s.counters.find(name);
     return it == s.counters.end() ? std::uint64_t{0} : it->second;
@@ -231,13 +220,11 @@ TEST_F(ObsDeterminismTest, AcquisitionMultiStartInvariantAcrossWorkerCounts) {
     EXPECT_EQ(inline_logical, pooled_logical);
   }
 
-  if (obs::kCompiledIn) {
-    // The hot path actually ran through the batched/gradient code: probe
-    // screening and analytic acquisition gradients left their counters.
-    EXPECT_GT(inline_logical.counters.at("acq.probes"), 0u);
-    EXPECT_GT(inline_logical.counters.at("gp.predict_batch.calls"), 0u);
-    EXPECT_GT(inline_logical.counters.at("gp.acq_grad"), 0u);
-  }
+  // The hot path actually ran through the batched/gradient code: probe
+  // screening and analytic acquisition gradients left their counters.
+  EXPECT_GT(inline_logical.counters.at("acq.probes"), 0u);
+  EXPECT_GT(inline_logical.counters.at("gp.predict_batch.calls"), 0u);
+  EXPECT_GT(inline_logical.counters.at("gp.acq_grad"), 0u);
 }
 
 // ------------------------------- per-session metric attribution ---------
@@ -264,18 +251,14 @@ TEST_F(ObsDeterminismTest, SessionScopedMetricsIdenticalAcrossWorkerCounts) {
     scoped.push_back(obs::metrics().snapshot().session(42));
   }
   EXPECT_EQ(scoped[0], scoped[1]);
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(scoped[0], unscoped);
-    EXPECT_EQ(scoped[0].counters.at("evals.total"),
-              static_cast<std::uint64_t>(kBudget));
-    // Scheduling-dependent names are never duplicated into a session
-    // scope — the per-session section stays deterministic by
-    // construction.
-    for (const auto& [name, value] : scoped[0].counters) {
-      EXPECT_FALSE(obs::is_runtime_metric(name)) << name;
-    }
-  } else {
-    EXPECT_TRUE(scoped[0].empty());
+  EXPECT_EQ(scoped[0], unscoped);
+  EXPECT_EQ(scoped[0].counters.at("evals.total"),
+            static_cast<std::uint64_t>(kBudget));
+  // Scheduling-dependent names are never duplicated into a session
+  // scope — the per-session section stays deterministic by
+  // construction.
+  for (const auto& [name, value] : scoped[0].counters) {
+    EXPECT_FALSE(obs::is_runtime_metric(name)) << name;
   }
 }
 
@@ -295,29 +278,23 @@ TEST_F(ObsDeterminismTest, ConcurrentSessionsKeepSeparateTallies) {
   }
   const auto snapshot = obs::metrics().snapshot();
   EXPECT_EQ(snapshot.session(7), snapshot.session(8));
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(snapshot.session(7).counters.at("evals.total"),
-              static_cast<std::uint64_t>(kBudget));
-    // The global logical section totals both sessions.
-    EXPECT_EQ(snapshot.logical().counters.at("evals.total"),
-              static_cast<std::uint64_t>(2 * kBudget));
-  }
+  EXPECT_EQ(snapshot.session(7).counters.at("evals.total"),
+            static_cast<std::uint64_t>(kBudget));
+  // The global logical section totals both sessions.
+  EXPECT_EQ(snapshot.logical().counters.at("evals.total"),
+            static_cast<std::uint64_t>(2 * kBudget));
 }
 
 TEST_F(ObsDeterminismTest, RuntimeMetricsAreSeparatedNotCompared) {
   obs::metrics().reset();
   run_session(4, /*with_faults=*/false);
   const auto snapshot = obs::metrics().snapshot();
-  if (obs::kCompiledIn) {
-    // Worker-count-dependent facts exist, but only under `runtime.`.
-    const auto runtime = snapshot.runtime();
-    EXPECT_EQ(runtime.gauges.at("runtime.exec.parallelism"), 4.0);
-    EXPECT_GE(runtime.counters.at("runtime.pool.workers_started"), 4u);
-    for (const auto& [name, value] : runtime.counters) {
-      EXPECT_TRUE(obs::is_runtime_metric(name)) << name;
-    }
-  } else {
-    EXPECT_TRUE(snapshot.empty());
+  // Worker-count-dependent facts exist, but only under `runtime.`.
+  const auto runtime = snapshot.runtime();
+  EXPECT_EQ(runtime.gauges.at("runtime.exec.parallelism"), 4.0);
+  EXPECT_GE(runtime.counters.at("runtime.pool.workers_started"), 4u);
+  for (const auto& [name, value] : runtime.counters) {
+    EXPECT_TRUE(obs::is_runtime_metric(name)) << name;
   }
 }
 

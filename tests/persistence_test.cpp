@@ -13,6 +13,7 @@
 #include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/error.h"
+#include "common/framed_line.h"
 #include "core/persistence.h"
 
 namespace robotune::core {
@@ -82,13 +83,19 @@ TEST(PersistenceTest, LoadMergesIntoExistingState) {
   EXPECT_TRUE(selection.contains("New"));
 }
 
-TEST(PersistenceTest, CommentsAndBlankLinesIgnored) {
+/// A state file with one frame per payload.
+std::string state_file(const std::vector<std::string>& payloads) {
+  std::string text = "robotune-state v2\n";
+  for (const auto& payload : payloads) append_frame(text, payload);
+  return text;
+}
+
+/// Both caches in their saved form, for before/after comparisons.
+std::string serialized(const ParameterSelectionCache& selection,
+                       const ConfigMemoizationBuffer& memo) {
   std::stringstream stream;
-  stream << "robotune-state v1\n\n# a comment\nselection W 1 5\n";
-  ParameterSelectionCache selection;
-  ConfigMemoizationBuffer memo;
-  EXPECT_EQ(load_state(stream, selection, memo), 1u);
-  EXPECT_TRUE(selection.contains("W"));
+  save_state(selection, memo, stream);
+  return stream.str();
 }
 
 TEST(PersistenceTest, BadHeaderThrows) {
@@ -100,19 +107,76 @@ TEST(PersistenceTest, BadHeaderThrows) {
 }
 
 TEST(PersistenceTest, UnknownRecordThrows) {
-  std::stringstream stream;
-  stream << "robotune-state v1\nbogus W 1 2\n";
+  std::stringstream stream(state_file({"bogus W 1 2"}));
   ParameterSelectionCache selection;
   ConfigMemoizationBuffer memo;
   EXPECT_THROW(load_state(stream, selection, memo), InvalidArgument);
 }
 
 TEST(PersistenceTest, MalformedRowThrows) {
-  std::stringstream stream;
-  stream << "robotune-state v1\nselection W 3 1\n";  // promises 3, gives 1
+  for (const char* payload :
+       {"selection W 3 1",             // promises 3 indices, gives 1
+        "selection W 1 x",             // not a number
+        "memo W 1.5 2 0.5",            // promises 2 dims, gives 1
+        "memo W 1.5 1 0.5 trailing"}) {
+    std::stringstream stream(state_file({payload}));
+    ParameterSelectionCache selection;
+    ConfigMemoizationBuffer memo;
+    EXPECT_THROW(load_state(stream, selection, memo), InvalidArgument)
+        << payload;
+  }
+}
+
+TEST(PersistenceTest, UnframedV1StateFileIsRefused) {
+  std::stringstream stream("robotune-state v1\nselection W 1 5\n");
   ParameterSelectionCache selection;
   ConfigMemoizationBuffer memo;
   EXPECT_THROW(load_state(stream, selection, memo), InvalidArgument);
+  EXPECT_EQ(selection.size(), 0u);
+}
+
+TEST(PersistenceTest, RefusedStateFileLeavesTheCachesUntouched) {
+  ParameterSelectionCache selection;
+  selection.store("Old", {7});
+  ConfigMemoizationBuffer memo;
+  memo.store("Old", {{0.5}, 10.0});
+  const std::string before = serialized(selection, memo);
+
+  // The first two records are valid; the third is not.  A loader that
+  // merged as it went would already have stored "New" when it threw.
+  std::stringstream stream(state_file(
+      {"selection New 2 1 2", "memo New 3.5 1 0.25", "selection Bad 2 1"}));
+  EXPECT_THROW(load_state(stream, selection, memo), InvalidArgument);
+  EXPECT_FALSE(selection.contains("New"));
+  EXPECT_EQ(memo.size("New"), 0u);
+  EXPECT_EQ(serialized(selection, memo), before);
+}
+
+TEST(PersistenceTest, StateBitFlipAtEveryByteIsCaughtByTheChecksum) {
+  ParameterSelectionCache selection;
+  selection.store("PageRank", {0, 1, 29});
+  ConfigMemoizationBuffer memo;
+  memo.store("PageRank", {{0.12345678901234567, 0.5}, 99.25});
+  const std::string full = serialized(selection, memo);
+
+  // Every single-bit flip of every byte is refused, and a refused load
+  // merges nothing into the receiving caches.
+  for (std::size_t at = 0; at < full.size(); ++at) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      std::string flipped = full;
+      flipped[at] = static_cast<char>(
+          static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
+      std::istringstream in(flipped);
+      ParameterSelectionCache loaded;
+      ConfigMemoizationBuffer loaded_memo;
+      EXPECT_THROW(load_state(in, loaded, loaded_memo), InvalidArgument)
+          << "flip of bit " << bit << " at byte " << at;
+      EXPECT_EQ(loaded.size(), 0u)
+          << "flip of bit " << bit << " at byte " << at;
+      EXPECT_EQ(loaded_memo.size("PageRank"), 0u)
+          << "flip of bit " << bit << " at byte " << at;
+    }
+  }
 }
 
 TEST(PersistenceTest, FileHelpersRoundTrip) {

@@ -158,7 +158,7 @@ TEST(SessionCheckpointTest, MalformedInputThrows) {
   SessionCheckpoint s;
   {
     std::stringstream stream;
-    stream << "robotune-state v1\n";  // state header, not a session
+    stream << "robotune-state v2\n";  // state header, not a session
     EXPECT_THROW(load_session(stream, s), InvalidArgument);
   }
   // Well-framed records whose payloads do not parse.

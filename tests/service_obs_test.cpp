@@ -4,10 +4,7 @@
 // Prometheus writer, the quantile estimator, and the O(1) status-count
 // regression guard.
 //
-// Everything here runs under both ROBOTUNE_OBS=ON and OFF: the event
-// journal is not obs-gated (it is a durability artifact), while
-// counter/histogram assertions gate on obs::kCompiledIn.  The logical
-// projection goldens are identical across both builds and across any
+// The logical projection goldens are identical across any
 // max_live/slots/worker configuration — that *is* the contract.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -568,24 +565,18 @@ TEST(MetricsVerb, AnswersOverLocalClient) {
   EXPECT_EQ(response.fields.at("accepting"), "1");
   ASSERT_EQ(response.records.size(), 1u);
   EXPECT_EQ(response.records[0].substr(0, 7), "1 done ");
-  if (obs::kCompiledIn) {
-    // start + suggest counted; the in-flight metrics call records its
-    // own latency only after answering.
-    EXPECT_GE(std::stoull(response.fields.at("rpc_requests")), 2u);
-    const std::string& prom = response.fields.at("prom");
-    EXPECT_NE(prom.find("robotune_service_rpc_start 1\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("robotune_service_admission_accepted 1\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("session=\"1\""), std::string::npos);
-    EXPECT_NE(
-        prom.find("robotune_runtime_service_rpc_suggest_latency_us_bucket"),
-        std::string::npos);
-  } else {
-    EXPECT_EQ(response.fields.at("rpc_requests"), "0");
-    // The exposition is empty but well-formed.
-    EXPECT_EQ(response.fields.at("prom").find("# robotune"), 0u);
-  }
+  // start + suggest counted; the in-flight metrics call records its
+  // own latency only after answering.
+  EXPECT_GE(std::stoull(response.fields.at("rpc_requests")), 2u);
+  const std::string& prom = response.fields.at("prom");
+  EXPECT_NE(prom.find("robotune_service_rpc_start 1\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("robotune_service_admission_accepted 1\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("session=\"1\""), std::string::npos);
+  EXPECT_NE(
+      prom.find("robotune_runtime_service_rpc_suggest_latency_us_bucket"),
+      std::string::npos);
   // events_seq reflects the fleet journal.
   EXPECT_GT(std::stoull(response.fields.at("events_seq")), 0u);
 
@@ -598,14 +589,12 @@ TEST(MetricsVerb, AnswersOverLocalClient) {
   ASSERT_TRUE(session_response.ok) << session_response.error;
   EXPECT_EQ(session_response.fields.at("state"), "done");
   EXPECT_EQ(session_response.fields.at("evals"), "6");
-  if (obs::kCompiledIn) {
-    // The session section is exported *unscoped* (names already
-    // stripped of session/<id>/) — directly comparable to a standalone
-    // run's logical section.
-    const std::string& prom = session_response.fields.at("prom");
-    EXPECT_NE(prom.find("robotune_bo_rounds"), std::string::npos);
-    EXPECT_EQ(prom.find("session=\""), std::string::npos);
-  }
+  // The session section is exported *unscoped* (names already
+  // stripped of session/<id>/) — directly comparable to a standalone
+  // run's logical section.
+  const std::string& session_prom = session_response.fields.at("prom");
+  EXPECT_NE(session_prom.find("robotune_bo_rounds"), std::string::npos);
+  EXPECT_EQ(session_prom.find("session=\""), std::string::npos);
 
   service::Request missing;
   missing.verb = "metrics";
@@ -645,15 +634,13 @@ TEST(MetricsVerb, RoundTripsOverUnixSocket) {
   ASSERT_TRUE(response.ok) << response.error;
   EXPECT_EQ(response.fields.at("done"), "1");
   ASSERT_EQ(response.records.size(), 1u);
-  if (obs::kCompiledIn) {
-    // The exposition survived the framed socket round-trip (escaping
-    // covers its newlines) and saw the socket-side counters.
-    const std::string& prom = response.fields.at("prom");
-    EXPECT_NE(prom.find("robotune_service_rpc_start 1\n"),
-              std::string::npos);
-    EXPECT_NE(prom.find("robotune_service_clients_connected 1\n"),
-              std::string::npos);
-  }
+  // The exposition survived the framed socket round-trip (escaping
+  // covers its newlines) and saw the socket-side counters.
+  const std::string& prom = response.fields.at("prom");
+  EXPECT_NE(prom.find("robotune_service_rpc_start 1\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("robotune_service_clients_connected 1\n"),
+            std::string::npos);
 
   client.close();
   stop.store(true);
@@ -797,7 +784,6 @@ TEST(FleetSummary, RendersSectionsAndSessionRows) {
 }
 
 TEST(Telemetry, UnknownVerbsCollapseIntoOneCounter) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "needs the live registry";
   service::record_rpc("garbage-verb-1", 0, false, 1.0);
   service::record_rpc("garbage-verb-2", 0, true, 1.0);
   const auto snapshot = obs::metrics().snapshot();
